@@ -13,7 +13,7 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import CORPUS_ALL, corpus_text
@@ -59,6 +59,8 @@ EXIT_CODE_HELP = (
 
 @dataclass
 class RunConfig:
+    """The flags of `run`; other subcommands set the subset they accept."""
+
     program: str
     facts: Optional[str] = None
     semiring: str = "boolean"
@@ -66,8 +68,6 @@ class RunConfig:
     solver: str = "auto"
     max_iters: Optional[int] = None
     output: str = "tsv"
-    explain: bool = False
-    seed: int = 0
     cap_size: Optional[int] = None
 
 
@@ -171,12 +171,12 @@ def cmd_run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_ground(cfg: RunConfig) -> int:
+def cmd_ground(cfg: RunConfig, explain: bool) -> int:
     program, instance = _load_inputs(cfg)
     g, report = ground_program(
         program, instance, strategy=cfg.strategy, cap=cfg.cap_size
     )
-    if cfg.explain:
+    if explain:
         for rule in program.rules:
             for bi, body in enumerate(rule.bodies):
                 tree = gyo_join_tree(build_hypergraph(body))
@@ -189,7 +189,7 @@ def cmd_ground(cfg: RunConfig) -> int:
                     )
                     root = chosen.root if chosen.root is not None else 0
                     print(f"%   strategy {chosen.strategy}")
-                    for line in dump_tree(tree, root, body).splitlines():
+                    for line in dump_tree(tree, root).splitlines():
                         print(f"%   {line}")
     if cfg.output == "structured":
         print(json.dumps(g.to_record(), indent=2, sort_keys=True))
@@ -324,13 +324,15 @@ def loglog_slope(xs: list[float], ys: list[float]) -> float:
     return statistics.linear_regression(lx, ly).slope
 
 
-def cmd_bench(cfg: RunConfig, family: str, sizes: list[int], nodes: Optional[int]) -> int:
+def cmd_bench(
+    cfg: RunConfig, seed: int, family: str, sizes: list[int], nodes: Optional[int]
+) -> int:
     program = parse_program(_load_program_text(cfg.program))
     sr = semiring_from_token(cfg.semiring)
     print("index,family,size,m,n,grounding_size,canonical_size,solver,wall_time,status")
     rows = []
     for idx, size in enumerate(sizes):
-        rng = random.Random(f"{cfg.seed}:{family}:{size}")
+        rng = random.Random(f"{seed}:{family}:{size}")
         instance = build_bench_instance(program, family, size, sr, rng, nodes)
         t0 = time.perf_counter()
         try:
@@ -365,54 +367,51 @@ def cmd_bench(cfg: RunConfig, family: str, sizes: list[int], nodes: Optional[int
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, facts: bool = True) -> None:
-    p.add_argument("--program", required=True,
-                   help="program file path or corpus:<name> "
-                        f"(corpus: {', '.join(CORPUS_ALL)})")
-    if facts:
-        p.add_argument("--facts", help="fact file (one annotated fact per line)")
-    p.add_argument("--semiring", default="boolean",
-                   help="boolean | tropical | naturals | set:<k1,...> | access")
-    p.add_argument("--strategy", default="auto", choices=STRATEGIES)
-    p.add_argument("--solver", default="auto", choices=METHODS)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--output", default="tsv", choices=("tsv", "structured"))
-    p.add_argument("--explain", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap-size", type=int, default=None,
-                   help="abort grounding beyond this size")
+FLAGS = {
+    "program": dict(required=True,
+                    help="program file path or corpus:<name> "
+                         f"(corpus: {', '.join(CORPUS_ALL)})"),
+    "facts": dict(help="fact file (one annotated fact per line)"),
+    "semiring": dict(default="boolean",
+                     help="boolean | tropical | naturals | set:<k1,...> | access"),
+    "strategy": dict(default="auto", choices=STRATEGIES),
+    "solver": dict(default="auto", choices=METHODS),
+    "max-iters": dict(type=int, default=None),
+    "output": dict(default="tsv", choices=("tsv", "structured")),
+    "cap-size": dict(type=int, default=None, help="abort grounding beyond this size"),
+    "explain": dict(action="store_true"),
+    "seed": dict(type=int, default=0),
+    "family": dict(default="path", choices=("path", "random-graph", "grid")),
+    "sizes": dict(default="1024,2048,4096", help="comma-separated size schedule"),
+    "nodes": dict(type=int, default=None, help="fix the node count for random-graph"),
+}
+
+# Each subcommand accepts exactly the flags it reads.
+COMMAND_FLAGS = {
+    "run": ("program", "facts", "semiring", "strategy", "solver", "max-iters",
+            "output", "cap-size"),
+    "ground": ("program", "facts", "semiring", "strategy", "cap-size", "output",
+               "explain"),
+    "check": ("program", "facts", "semiring", "max-iters"),
+    "classify": ("program",),
+    "bench": ("program", "semiring", "strategy", "solver", "max-iters", "cap-size",
+              "seed", "family", "sizes", "nodes"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="semlog", epilog=EXIT_CODE_HELP)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("run", "ground", "check"):
-        _add_common(sub.add_parser(name, epilog=EXIT_CODE_HELP))
-    _add_common(sub.add_parser("classify", epilog=EXIT_CODE_HELP), facts=False)
-    bench = sub.add_parser("bench", epilog=EXIT_CODE_HELP)
-    _add_common(bench, facts=False)
-    bench.add_argument("--family", default="path",
-                       choices=("path", "random-graph", "grid"))
-    bench.add_argument("--sizes", default="1024,2048,4096",
-                       help="comma-separated size schedule")
-    bench.add_argument("--nodes", type=int, default=None,
-                       help="fix the node count for random-graph")
+    for command, flags in COMMAND_FLAGS.items():
+        p = sub.add_parser(command, epilog=EXIT_CODE_HELP)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return ap
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        program=args.program,
-        facts=getattr(args, "facts", None),
-        semiring=args.semiring,
-        strategy=args.strategy,
-        solver=args.solver,
-        max_iters=args.max_iters,
-        output=args.output,
-        explain=args.explain,
-        seed=args.seed,
-        cap_size=args.cap_size,
-    )
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -422,14 +421,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "ground":
-            return cmd_ground(cfg)
+            return cmd_ground(cfg, args.explain)
         if args.command == "check":
             return cmd_check(cfg)
         if args.command == "classify":
             return cmd_classify(cfg)
         if args.command == "bench":
             sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-            return cmd_bench(cfg, args.family, sizes, args.nodes)
+            return cmd_bench(cfg, args.seed, args.family, sizes, args.nodes)
         raise AssertionError(args.command)
     except (FrontendError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -36,10 +36,6 @@ class JoinTree:
 
     nodes: tuple[Hyperedge, ...]
     adj: dict[int, list[int]]
-    root: Optional[int] = None
-
-    def bag(self, node_id: int) -> frozenset[int]:
-        return self.nodes[node_id].vertices
 
     def rooted_at(self, root: int) -> tuple[dict[int, Optional[int]], dict[int, list[int]], list[int]]:
         """BFS orientation: (parent, children, preorder)."""
@@ -176,7 +172,7 @@ def free_connex_root(tree: JoinTree, head_vars: frozenset[int]) -> Optional[int]
     return None
 
 
-def dump_tree(tree: JoinTree, root: int, query: "SumProdQuery") -> str:
+def dump_tree(tree: JoinTree, root: int) -> str:
     """Indented text rendering used by `ground --explain`."""
     _, children, _ = tree.rooted_at(root)
     lines: list[str] = []

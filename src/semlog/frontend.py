@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from .semirings import Semiring, SemiringTypeError
 
@@ -87,12 +86,6 @@ class Program:
     edb_schema: dict[str, int]
     idb_schema: dict[str, int]
     arity_bound: int
-
-    def rule_for(self, pred: str) -> Rule:
-        for r in self.rules:
-            if r.head_pred == pred:
-                return r
-        raise KeyError(pred)
 
 
 @dataclass(frozen=True)
@@ -305,7 +298,7 @@ def pretty_print(program: Program) -> str:
 
 _FACT_RE = re.compile(
     r"^\s*(?P<pred>[A-Za-z_][A-Za-z0-9_']*)\s*\((?P<args>[^()]*)\)\s*"
-    r"(?:=\s*(?P<lit>[^.]+?)\s*)?\.\s*$"
+    r"(?:=\s*(?P<lit>.+?)\s*)?\.\s*$"
 )
 
 

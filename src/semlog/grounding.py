@@ -9,17 +9,17 @@ All strategies write into the same `Grounding` sink so rules can mix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from .decomposition import (
     CyclicVerdict,
+    Hyperedge,
     JoinTree,
     build_hypergraph,
     choose_root,
     free_connex_root,
     gyo_join_tree,
-    top_map,
 )
 from .frontend import Atom, Instance, Program, Rule, SumProdQuery
 
@@ -50,7 +50,9 @@ class Grounding:
     """Interned ground atoms plus equations: IDB variable -> sum of monomials.
 
     A monomial is a tuple of atom ids in rule-body order.  `size` counts
-    every coefficient/variable occurrence plus one per left-hand side.
+    every coefficient/variable occurrence plus one per left-hand side; it is
+    kept up to date by `ensure_equation` and `add_monomial`, the only writers
+    of `equations`.
     """
 
     def __init__(self, semiring, cap: Optional[int] = None):
@@ -62,7 +64,7 @@ class Grounding:
         self.kinds: list[int] = []
         self.values: list[object] = []
         self.equations: dict[int, list[tuple[int, ...]]] = {}
-        self.tracked_size = 0
+        self.size = 0
 
     # -- interning ---------------------------------------------------------
 
@@ -108,9 +110,9 @@ class Grounding:
             self._grow(1 + len(mono))
 
     def _grow(self, amount: int) -> None:
-        self.tracked_size += amount
-        if self.cap is not None and self.tracked_size > self.cap:
-            raise CapExceeded(self.tracked_size, self.cap)
+        self.size += amount
+        if self.cap is not None and self.size > self.cap:
+            raise CapExceeded(self.size, self.cap)
 
     def finalize(self) -> "Grounding":
         """Give every referenced IDB variable an equation (empty RHS = zero)."""
@@ -119,23 +121,7 @@ class Grounding:
                 self.ensure_equation(aid)
         return self
 
-    # -- measures ----------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return sum(
-            1 + sum(len(m) for m in monos) for monos in self.equations.values()
-        )
-
-    def variable_ids(self) -> list[int]:
-        return [a for a, k in enumerate(self.kinds) if k == KIND_VAR]
-
-    def atoms_of(self, symbol: str) -> dict[tuple[str, ...], int]:
-        return {
-            self.tuples[a]: a
-            for a, s in enumerate(self.symbols)
-            if s == symbol and self.kinds[a] == KIND_VAR
-        }
+    # -- output ------------------------------------------------------------
 
     def to_text(self) -> str:
         lines = []
@@ -163,13 +149,6 @@ class Grounding:
                 )
             },
         }
-
-
-def active_domain(instance: Instance) -> tuple[str, ...]:
-    """Sorted distinct constants across all stored EDB facts."""
-    return tuple(
-        sorted({c for rel in instance.relations.values() for t in rel for c in t})
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +207,7 @@ def _enumerate_body(body: SumProdQuery, instance: Instance, domain, callback):
 def _ground_body_naive(
     rule: Rule, body: SumProdQuery, instance: Instance, g: Grounding
 ) -> None:
-    domain = active_domain(instance)
+    domain = instance.active_domain
     rels = instance.relations
 
     def emit(asg: dict[int, str]):
@@ -252,7 +231,7 @@ def ground_naive(
     annihilated by absent EDB facts; every IDB ground instance gets an
     equation even when its RHS is empty."""
     g = Grounding(instance.semiring, cap=cap)
-    domain = active_domain(instance)
+    domain = instance.active_domain
     for sym, arity in program.idb_schema.items():
         for t in itertools.product(domain, repeat=arity):
             g.ensure_equation(g.intern_var(sym, t))
@@ -267,37 +246,19 @@ def ground_naive(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _GNode:
-    """Join-tree node as seen by the grounder: bag + the atom to enumerate."""
-
-    bag: frozenset[int]
-    pred: str
-    args: tuple[int, ...]
-    is_idb: bool
-    relation: Optional[dict] = None  # EDB facts; None for IDB atoms
-
-
-def _gnodes_from_tree(tree: JoinTree, instance: Instance) -> dict[int, _GNode]:
-    nodes = {}
-    for edge in tree.nodes:
-        atom = edge.atom
-        rel = None if atom.is_idb else instance.relations.get(atom.pred, {})
-        nodes[edge.id] = _GNode(edge.vertices, atom.pred, atom.args, atom.is_idb, rel)
-    return nodes
-
-
-def _node_assignments(node: _GNode, domain):
+def _node_assignments(node: Hyperedge, domain, relations):
     """Yield (assignment over the bag, EDB value or None)."""
-    if node.is_idb:
-        bagvars = sorted(node.bag)
+    atom = node.atom
+    if atom.is_idb:
+        bagvars = sorted(node.vertices)
         for combo in itertools.product(domain, repeat=len(bagvars)):
             yield dict(zip(bagvars, combo)), None
     else:
-        for fact in sorted(node.relation or {}):
+        rel = relations.get(atom.pred, {})
+        for fact in sorted(rel):
             asg: dict[int, str] = {}
             ok = True
-            for v, c in zip(node.args, fact):
+            for v, c in zip(atom.args, fact):
                 if v in asg:
                     if asg[v] != c:
                         ok = False
@@ -305,16 +266,16 @@ def _node_assignments(node: _GNode, domain):
                 else:
                     asg[v] = c
             if ok:
-                yield asg, node.relation[fact]
+                yield asg, rel[fact]
 
 
 def _subtree_head_vars(
-    root: int, children: dict[int, list[int]], nodes: dict[int, _GNode], head_set
+    root: int, children: dict[int, list[int]], nodes: Sequence[Hyperedge], head_set
 ) -> dict[int, frozenset[int]]:
     h_sub: dict[int, frozenset[int]] = {}
 
     def walk(u: int) -> frozenset[int]:
-        acc = nodes[u].bag & head_set
+        acc = nodes[u].vertices & head_set
         for c in children[u]:
             acc |= walk(c)
         h_sub[u] = acc
@@ -326,43 +287,45 @@ def _subtree_head_vars(
 
 def _ground_tree(
     root: int,
-    nodes: dict[int, _GNode],
+    nodes: Sequence[Hyperedge],
     children: dict[int, list[int]],
     head_pred: str,
     head_args: tuple[int, ...],
     head_set: frozenset[int],
     domain,
+    relations,
     g: Grounding,
     fresh_prefix: str,
 ) -> None:
     """Refactor/Ground/Recurse along a rooted join tree.
 
-    Each tree edge (s, t) introduces the fresh IDB named
-    ``<fresh_prefix>_e<s>_<t>`` over (bag(s) & bag(t)) | H_t.
+    `nodes` is indexed by node id.  Each tree edge (s, t) introduces the
+    fresh IDB named ``<fresh_prefix>_e<s>_<t>`` over (bag(s) & bag(t)) | H_t.
     """
     h_sub = _subtree_head_vars(root, children, nodes, head_set)
 
     def ground_node(s: int, pred: str, args: tuple[int, ...]) -> None:
         node = nodes[s]
+        bag, atom = node.vertices, node.atom
         e_st = {
-            t: tuple(sorted((node.bag & nodes[t].bag) | h_sub[t]))
+            t: tuple(sorted((bag & nodes[t].vertices) | h_sub[t]))
             for t in children[s]
         }
         fresh = {t: f"{fresh_prefix}_e{s}_{t}" for t in children[s]}
-        span = set(node.bag)
+        span = set(bag)
         for e in e_st.values():
             span |= set(e)
-        extra = tuple(sorted(span - node.bag))
+        extra = tuple(sorted(span - bag))
 
-        for base, value in _node_assignments(node, domain):
+        for base, value in _node_assignments(node, domain, relations):
             for combo in itertools.product(domain, repeat=len(extra)):
                 asg = base if not extra else {**base, **dict(zip(extra, combo))}
                 head = g.intern_var(pred, tuple(asg[v] for v in args))
-                if node.is_idb:
-                    own = g.intern_var(node.pred, tuple(asg[v] for v in node.args))
+                if atom.is_idb:
+                    own = g.intern_var(atom.pred, tuple(asg[v] for v in atom.args))
                 else:
                     own = g.intern_coeff(
-                        node.pred, tuple(asg[v] for v in node.args), value
+                        atom.pred, tuple(asg[v] for v in atom.args), value
                     )
                 mono = [own] + [
                     g.intern_var(fresh[t], tuple(asg[v] for v in e_st[t]))
@@ -387,15 +350,15 @@ def ground_acyclic_rule(
 ) -> None:
     """Ground one acyclic sum-prod body along a rooted join tree."""
     _, children, _ = tree.rooted_at(root)
-    nodes = _gnodes_from_tree(tree, instance)
     _ground_tree(
         root,
-        nodes,
+        tree.nodes,
         children,
         head_pred,
         body.head_vars,
         body.head_set,
-        active_domain(instance),
+        instance.active_domain,
+        instance.relations,
         g,
         f"__u_r{rule_tag}",
     )
@@ -408,10 +371,11 @@ def ground_acyclic_rule(
 
 def _eval_edb_tree(
     root: int,
-    nodes: dict[int, _GNode],
+    nodes: Sequence[Hyperedge],
     children: dict[int, list[int]],
     out_vars: tuple[int, ...],
     semiring,
+    relations,
 ) -> dict[tuple[str, ...], object]:
     """Directly evaluate an EDB-only subtree, aggregated onto `out_vars`.
 
@@ -422,16 +386,16 @@ def _eval_edb_tree(
 
     def eval_node(u: int) -> dict[tuple[str, ...], object]:
         node = nodes[u]
-        if node.is_idb:
+        if node.atom.is_idb:
             raise StrategyNotApplicable("IDB atom inside an EDB-only subtree")
-        bagvars = tuple(sorted(node.bag))
+        bagvars = tuple(sorted(node.vertices))
         rel: dict[tuple[str, ...], object] = {}
-        for asg, value in _node_assignments(node, ()):
+        for asg, value in _node_assignments(node, (), relations):
             rel[tuple(asg[v] for v in bagvars)] = value
         for c in children[u]:
             crel = eval_node(c)
-            cvars = tuple(sorted(nodes[c].bag))
-            shared = tuple(sorted(node.bag & nodes[c].bag))
+            cvars = tuple(sorted(nodes[c].vertices))
+            shared = tuple(sorted(node.vertices & nodes[c].vertices))
             idx = [cvars.index(v) for v in shared]
             msg: dict[tuple[str, ...], object] = {}
             for key, v in crel.items():
@@ -445,7 +409,7 @@ def _eval_edb_tree(
             }
         return rel
 
-    bagvars = tuple(sorted(nodes[root].bag))
+    bagvars = tuple(sorted(nodes[root].vertices))
     idx = [bagvars.index(v) for v in out_vars]
     out: dict[tuple[str, ...], object] = {}
     for key, v in eval_node(root).items():
@@ -464,11 +428,12 @@ def ground_linear_acyclic2(
 ) -> None:
     """Grounding for a linear acyclic body when all IDB arities are <= 2.
 
-    Rooted at a node holding the first head variable.  When the body IDB is
-    a leaf this is exactly the join-tree recursion; otherwise the subtree
-    below the IDB is reduced to a chain of join-project rules (or folded
-    into a fresh IDB when no head variable is trapped below it), keeping
-    the grounding within O(m * n).
+    Rooted at the first node other than the IDB's that holds a head
+    variable.  When every head variable in the IDB's subtree occurs in the
+    IDB atom itself (always so for a leaf IDB), this is the plain join-tree
+    recursion.  Otherwise the one head variable trapped below the IDB is
+    carried along a chain of join-project rules from the IDB down to the
+    nearest node holding it, keeping the grounding within O(m * n).
     """
     if len(body.idb_atoms()) > 1:
         raise StrategyNotApplicable("body is not linear")
@@ -477,8 +442,6 @@ def ground_linear_acyclic2(
     tree = gyo_join_tree(build_hypergraph(body))
     if isinstance(tree, CyclicVerdict):
         raise StrategyNotApplicable("body is cyclic")
-    domain = active_domain(instance)
-    nodes = _gnodes_from_tree(tree, instance)
 
     if not body.idb_atoms():
         root = free_connex_root(tree, body.head_set)
@@ -487,48 +450,39 @@ def ground_linear_acyclic2(
         ground_acyclic_rule(body, tree, root, instance, g, head_pred, rule_tag)
         return
 
-    t_node = next(nid for nid, nd in nodes.items() if nd.is_idb)
-    if body.head_set:
-        candidates = [n.id for n in tree.nodes if n.vertices & body.head_set]
-    else:
-        candidates = [n.id for n in tree.nodes]
-
-    # Prefer any rooting that turns the IDB node into a leaf: that is the
-    # plain join-tree recursion, unconditionally correct.
-    rest = [n.id for n in tree.nodes if n.id not in candidates]
-    for r in candidates + rest:
-        if r == t_node:
-            continue
-        _, children, _ = tree.rooted_at(r)
-        if not children[t_node]:
-            ground_acyclic_rule(body, tree, r, instance, g, head_pred, rule_tag)
-            return
-    candidates = [r for r in candidates if r != t_node]
+    nodes = tree.nodes
+    t_node = next(n.id for n in nodes if n.atom.is_idb)
+    candidates = [
+        n.id
+        for n in nodes
+        if n.id != t_node and (not body.head_set or n.vertices & body.head_set)
+    ]
     if not candidates:
         raise StrategyNotApplicable("head variables occur only in the IDB atom")
     root = candidates[0]
     parent, children, _ = tree.rooted_at(root)
 
     h_sub = _subtree_head_vars(root, children, nodes, body.head_set)
-    t_bag = nodes[t_node].bag
+    t_bag = nodes[t_node].vertices
     trapped = sorted(h_sub[t_node] - t_bag)
 
     if not trapped:
-        _ground_via_substitution(
-            tree, nodes, children, t_node, root, body, domain, g, head_pred, rule_tag
-        )
+        # Nothing below the IDB (a leaf IDB has no subtree) needs carrying
+        # past it: the plain join-tree recursion, unconditionally correct.
+        ground_acyclic_rule(body, tree, root, instance, g, head_pred, rule_tag)
         return
     if len(trapped) > 1:
         raise StrategyNotApplicable("more than one head variable below the IDB")
     y = trapped[0]
 
-    join_vars = t_bag & nodes[parent[t_node]].bag
+    join_vars = t_bag & nodes[parent[t_node]].vertices
     if len(join_vars) != 1:
         raise StrategyNotApplicable("IDB shares more than one variable upward")
     (z,) = join_vars
 
     _ground_via_chain(
-        tree, nodes, children, t_node, root, y, z, body, domain, g, head_pred, rule_tag
+        nodes, children, t_node, root, y, z, body, instance.active_domain,
+        instance.relations, g, head_pred, rule_tag,
     )
 
 
@@ -539,46 +493,8 @@ def _collect_subtree(children: dict[int, list[int]], root: int) -> list[int]:
     return out
 
 
-def _ground_via_substitution(
-    tree, nodes, children, t_node, root, body, domain, g, head_pred, rule_tag
-) -> None:
-    """Fold the subtree under the IDB into a fresh IDB, then reground with
-    that fresh IDB as a leaf."""
-    sub_vars = tuple(sorted(nodes[t_node].bag))
-    sub_pred = f"__u_r{rule_tag}_sub{t_node}"
-    _ground_tree(
-        t_node,
-        nodes,
-        children,
-        sub_pred,
-        sub_vars,
-        frozenset(sub_vars),
-        domain,
-        g,
-        f"__u_r{rule_tag}_s{t_node}",
-    )
-    pruned = dict(nodes)
-    pruned_children = {k: list(v) for k, v in children.items()}
-    for u in _collect_subtree(children, t_node):
-        pruned_children[u] = []
-    pruned[t_node] = _GNode(
-        frozenset(sub_vars), sub_pred, sub_vars, True, None
-    )
-    _ground_tree(
-        root,
-        pruned,
-        pruned_children,
-        head_pred,
-        body.head_vars,
-        body.head_set,
-        domain,
-        g,
-        f"__u_r{rule_tag}",
-    )
-
-
 def _ground_via_chain(
-    tree, nodes, children, t_node, root, y, z, body, domain, g, head_pred, rule_tag
+    nodes, children, t_node, root, y, z, body, domain, relations, g, head_pred, rule_tag
 ) -> None:
     """Reduce the IDB-to-TOP(y) path to join-project rules of O(m*n) each."""
     semiring = g.semiring
@@ -589,7 +505,7 @@ def _ground_via_chain(
     for u in sub_ids:
         for c in children[u]:
             depth[c] = depth[u] + 1
-    holders = [u for u in sub_ids if y in nodes[u].bag]
+    holders = [u for u in sub_ids if y in nodes[u].vertices]
     t_y = min(holders, key=lambda u: (depth[u], u))
     path = [t_y]
     par = {c: u for u in sub_ids for c in children[u]}
@@ -601,32 +517,28 @@ def _ground_via_chain(
     side_rels: list[tuple[int, tuple[int, ...], dict]] = []
     for c in children[t_node]:
         if c != path[1]:
-            conn = tuple(sorted(nodes[t_node].bag & nodes[c].bag))
+            conn = tuple(sorted(nodes[t_node].vertices & nodes[c].vertices))
             side_rels.append(
-                (c, conn, _eval_edb_tree(c, nodes, children, conn, semiring))
+                (c, conn, _eval_edb_tree(c, nodes, children, conn, semiring, relations))
             )
     path_rels: list[tuple[int, tuple[int, ...], dict, str]] = []
-    for i, q in enumerate(path[1:], start=1):
-        qvars = tuple(sorted(nodes[q].bag))
-        if q == t_y:
-            rel = _eval_edb_tree(q, nodes, children, qvars, semiring)
-        else:
-            sub_nodes = dict(nodes)
-            sub_children = {k: list(v) for k, v in children.items()}
-            sub_children[q] = [c for c in children[q] if c != path[i + 1]]
-            rel = _eval_edb_tree(q, sub_nodes, sub_children, qvars, semiring)
+    for q in path[1:]:
+        qvars = tuple(sorted(nodes[q].vertices))
+        # q's subtree without the branch that the path continues into.
+        below = {**children, q: [c for c in children[q] if c not in path]}
+        rel = _eval_edb_tree(q, nodes, below, qvars, semiring, relations)
         path_rels.append((q, qvars, rel, f"__e_r{rule_tag}_p{q}"))
 
     # Chain of join-project rules along the path.
-    idb = nodes[t_node]
+    idb = nodes[t_node].atom
     prev_pred, prev_args = idb.pred, idb.args
-    prev_keep = tuple(sorted(idb.bag))
-    later_bags = [nodes[q].bag for q in path[1:]]
+    prev_keep = tuple(sorted(nodes[t_node].vertices))
+    later_bags = [nodes[q].vertices for q in path[1:]]
     for i, (q, qvars, rel, rel_name) in enumerate(path_rels, start=1):
         later = frozenset().union(*later_bags[i:]) if i < len(later_bags) else frozenset()
-        keep = tuple(sorted({z} | (nodes[q].bag & (later | {y}))))
+        keep = tuple(sorted({z} | (nodes[q].vertices & (later | {y}))))
         link_pred = f"__u_r{rule_tag}_chain{i}"
-        extra = tuple(sorted(set(prev_keep) - nodes[q].bag))
+        extra = tuple(sorted(set(prev_keep) - nodes[q].vertices))
         for fact in sorted(rel):
             base = dict(zip(qvars, fact))
             for combo in itertools.product(domain, repeat=len(extra)):
@@ -650,11 +562,13 @@ def _ground_via_chain(
         prev_pred, prev_args, prev_keep = link_pred, keep, keep
 
     # Reground the outer tree with the chain result as a leaf IDB.
-    pruned = dict(nodes)
+    pruned = list(nodes)
     pruned_children = {k: list(v) for k, v in children.items()}
     for u in _collect_subtree(children, t_node):
         pruned_children[u] = []
-    pruned[t_node] = _GNode(frozenset(prev_keep), prev_pred, prev_keep, True, None)
+    pruned[t_node] = Hyperedge(
+        t_node, frozenset(prev_keep), Atom(prev_pred, prev_keep, True)
+    )
     _ground_tree(
         root,
         pruned,
@@ -663,6 +577,7 @@ def _ground_via_chain(
         body.head_vars,
         body.head_set,
         domain,
+        relations,
         g,
         f"__u_r{rule_tag}",
     )
@@ -688,7 +603,6 @@ def ground_program(
     instance: Instance,
     strategy: str = "auto",
     cap: Optional[int] = None,
-    prune: bool = False,
 ) -> tuple[Grounding, list[BodyStrategy]]:
     """Ground every rule body, picking a per-body strategy and reporting it."""
     if strategy not in STRATEGIES:
@@ -701,7 +615,7 @@ def ground_program(
             for rule in program.rules
             for bi in range(len(rule.bodies))
         ]
-        return (prune_unreachable(g) if prune else g), report
+        return g, report
 
     g = Grounding(instance.semiring, cap=cap)
     for ri, rule in enumerate(program.rules):
@@ -735,8 +649,7 @@ def ground_program(
             root = choose_root(tree, body.head_set)
             ground_acyclic_rule(body, tree, root, instance, g, rule.head_pred, tag)
             report.append(BodyStrategy(rule.head_pred, bi, "acyclic", root))
-    g.finalize()
-    return (prune_unreachable(g) if prune else g), report
+    return g.finalize(), report
 
 
 def prune_unreachable(g: Grounding) -> Grounding:
@@ -771,10 +684,8 @@ def prune_unreachable(g: Grounding) -> Grounding:
     for head, monos in g.equations.items():
         if head not in supported:
             continue
-        pruned.equations[head] = [
-            m
-            for m in monos
-            if all(g.kinds[a] == KIND_COEFF or a in supported for a in m)
-        ]
-    pruned.tracked_size = pruned.size
+        pruned.ensure_equation(head)
+        for m in monos:
+            if all(g.kinds[a] == KIND_COEFF or a in supported for a in m):
+                pruned.add_monomial(head, m)
     return pruned

@@ -67,11 +67,6 @@ class Semiring:
         self.check(b)
         return self.leq_fn(a, b)
 
-    def sort_key(self, v: Value) -> Any:
-        if self.key_fn is None:
-            raise SemiringTypeError(f"semiring {self.name} is not totally ordered")
-        return self.key_fn(v)
-
     def parse_literal(self, text: str) -> Value:
         if self.parse_fn is None:
             raise SemiringTypeError(f"semiring {self.name} has no literal syntax")
@@ -145,8 +140,16 @@ def tropical() -> Semiring:
         finite_rank=None,
         key_fn=lambda v: v,
         parse_fn=_parse_tropical,
-        format_fn=lambda v: "inf" if v == math.inf else format(float(v), "g"),
+        format_fn=_format_tropical,
     )
+
+
+def _format_tropical(v: float) -> str:
+    """Shortest text that parses back to `v`; integral values drop the ".0"."""
+    if v == math.inf:
+        return "inf"
+    text = repr(float(v))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def _parse_tropical(text: str) -> float:

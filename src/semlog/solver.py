@@ -10,7 +10,6 @@ on the canonical system and directly on programs as independent oracles.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -50,27 +49,23 @@ class TwoCanonicalSystem:
         self.semiring = semiring
         self.init_values: list = [semiring.zero, semiring.one]
         self.is_const: list[bool] = [True, True]
-        self.names: list[str] = ["__zero", "__one"]
         self.equations: list[tuple[int, str, int, int]] = []
         self.uses: dict[int, list[int]] = {}
-        self.origin: dict[int, int] = {}  # node -> grounding atom id
         self.node_of_atom: dict[int, int] = {}
 
     ZERO = 0
     ONE = 1
 
-    def new_const(self, value, name: str) -> int:
+    def new_const(self, value) -> int:
         nid = len(self.init_values)
         self.init_values.append(value)
         self.is_const.append(True)
-        self.names.append(name)
         return nid
 
-    def new_var(self, name: str) -> int:
+    def new_var(self) -> int:
         nid = len(self.init_values)
         self.init_values.append(self.semiring.zero)
         self.is_const.append(False)
-        self.names.append(name)
         return nid
 
     def add_equation(self, lhs: int, op: str, a: int, b: int) -> None:
@@ -97,18 +92,15 @@ def to_two_canonical(g: Grounding) -> TwoCanonicalSystem:
     The result has size at most 4x the grounding's.
     """
     sys = TwoCanonicalSystem(g.semiring)
-    fresh = itertools.count()
 
     def node_for(aid: int) -> int:
         nid = sys.node_of_atom.get(aid)
         if nid is None:
-            name = g.atom_name(aid)
             if g.kinds[aid] == KIND_COEFF:
-                nid = sys.new_const(g.values[aid], name)
+                nid = sys.new_const(g.values[aid])
             else:
-                nid = sys.new_var(name)
+                nid = sys.new_var()
             sys.node_of_atom[aid] = nid
-            sys.origin[nid] = aid
         return nid
 
     def product_chain(operands: list[int], out: Optional[int]) -> int:
@@ -116,7 +108,7 @@ def to_two_canonical(g: Grounding) -> TwoCanonicalSystem:
         acc = operands[0]
         for i, nxt in enumerate(operands[1:], start=2):
             last = i == len(operands)
-            lhs = out if (last and out is not None) else sys.new_var(f"__t{next(fresh)}")
+            lhs = out if (last and out is not None) else sys.new_var()
             sys.add_equation(lhs, OP_TIMES, acc, nxt)
             acc = lhs
         return acc
@@ -140,7 +132,7 @@ def to_two_canonical(g: Grounding) -> TwoCanonicalSystem:
         acc = summands[0]
         for i, nxt in enumerate(summands[1:], start=2):
             last = i == len(summands)
-            lhs = hv if last else sys.new_var(f"__t{next(fresh)}")
+            lhs = hv if last else sys.new_var()
             sys.add_equation(lhs, OP_PLUS, acc, nxt)
             acc = lhs
     return sys

@@ -75,6 +75,14 @@ def test_classify(tc_files, capsys):
     assert "linear\ttrue" in out and "chain\ttrue" in out
 
 
+def test_flag_unread_by_subcommand_is_rejected(tc_files, capsys):
+    prog, _ = tc_files
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--program", prog, "--semiring", "tropical"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --semiring" in capsys.readouterr().err
+
+
 def test_bad_program_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.dl"
     bad.write_text("T(x) :- R(y).\n@target T.\n")

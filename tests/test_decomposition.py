@@ -19,7 +19,7 @@ from semlog.frontend import Atom, SumProdQuery, parse_program
 
 def star_body():
     # T(x1) over T2(x2) * T3(x3) * R24(x2,x4) * R34(x3,x4) * R14(x1,x4)
-    return semlog.corpus_program("ex51_star").rule_for("T").bodies[0]
+    return semlog.corpus_program("ex51_star").rules[-1].bodies[0]
 
 
 def test_build_hypergraph_star():
@@ -110,7 +110,7 @@ def test_free_connex_root_star():
 
 
 def test_free_connex_root_tc_body_fails():
-    body = semlog.corpus_program("eq2_tc").rule_for("T").bodies[1]
+    body = semlog.corpus_program("eq2_tc").rules[0].bodies[1]
     tree = gyo_join_tree(build_hypergraph(body))
     assert free_connex_root(tree, body.head_set) is None
 

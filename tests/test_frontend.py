@@ -109,6 +109,15 @@ def test_parse_facts_tropical():
     assert inst.relations["R"][("a", "b")] == 1.0
 
 
+def test_parse_facts_decimal_annotation():
+    inst = parse_facts("E(a, b) = 1.5.\nE(b, c) = 2.\nS(a) = 0.\n", tropical())
+    assert inst.relations["E"] == {("a", "b"): 1.5, ("b", "c"): 2.0}
+    assert inst.relations["S"] == {("a",): 0.0}
+    assert parse_facts("E(a, b) = 2.5e-3 .\n", tropical()).relations["E"] == {
+        ("a", "b"): 0.0025
+    }
+
+
 def test_parse_facts_boolean_default_and_dup():
     with pytest.warns(DuplicateFactWarning):
         inst = parse_facts("R(a,b).\nR(a,b).\n", boolean())

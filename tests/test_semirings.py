@@ -135,6 +135,7 @@ def test_literal_round_trip():
     sr = tropical()
     assert sr.parse_literal("inf") == INF
     assert sr.format_value(INF) == "inf"
+    assert sr.format_value(1234567.0) == "1234567"
     assert sr.parse_literal("2.5") == 2.5
     sset = set_semiring(["a", "b"])
     assert sset.parse_literal("{a}") == frozenset({"a"})
@@ -144,6 +145,16 @@ def test_literal_round_trip():
     assert access().parse_literal("S") == "S"
     with pytest.raises(ValueError):
         access().parse_literal("Q")
+
+
+# Values a lossy printer would get wrong, on top of the axiom samples.
+EXTRA_PRINTED = {"tropical": [1.5, 0.1, 1 / 3, 1234567.0, 1e16, 2.5e-7], "naturals": [10**20]}
+
+
+@pytest.mark.parametrize("sr,samples", all_instances(), ids=lambda x: getattr(x, "name", ""))
+def test_format_parse_round_trip(sr, samples):
+    for v in samples + EXTRA_PRINTED.get(sr.name, []):
+        assert sr.parse_literal(sr.format_value(v)) == v, v
 
 
 trop_vals = st.one_of(
