@@ -296,10 +296,23 @@ def pretty_print(program: Program) -> str:
 # Facts
 # ---------------------------------------------------------------------------
 
+# One match per line: an optional fact, then an optional `%` comment.  A
+# quoted argument may hold commas, parentheses and `%`.
 _FACT_RE = re.compile(
-    r"^\s*(?P<pred>[A-Za-z_][A-Za-z0-9_']*)\s*\((?P<args>[^()]*)\)\s*"
-    r"(?:=\s*(?P<lit>.+?)\s*)?\.\s*$"
+    r"\s*(?:(?P<pred>[A-Za-z_][A-Za-z0-9_']*)\s*"
+    r'\((?P<args>[^()"%]*(?:"[^"]*"[^()"%]*)*)\)\s*'
+    r"(?:=\s*(?P<lit>[^%]+?)\s*)?\.\s*)?(?:%|$)"
 )
+
+
+def _split_quoted(text: str) -> tuple[str, ...]:
+    """Split on the commas outside double quotes, then unquote."""
+    parts = [""]
+    for i, piece in enumerate(text.split('"')):  # odd pieces are quoted
+        first, *rest = (f'"{piece}"',) if i % 2 else piece.split(",")
+        parts[-1] += first
+        parts.extend(rest)
+    return tuple(s.strip().strip('"') for s in parts)
 
 
 def parse_facts(text: str, semiring: Semiring) -> Instance:
@@ -311,16 +324,19 @@ def parse_facts(text: str, semiring: Semiring) -> Instance:
     relations: dict[str, dict[tuple[str, ...], object]] = {}
     arities: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("%", 1)[0].strip()
-        if not line:
-            continue
         m = _FACT_RE.match(line)
         if m is None:
-            raise ValidationError(f"line {lineno}: malformed fact {line!r}")
+            raise ValidationError(f"line {lineno}: malformed fact {line.strip()!r}")
         pred = m.group("pred")
-        args = tuple(s.strip().strip('"') for s in m.group("args").split(","))
-        if args == ("",):
-            args = ()
+        if pred is None:  # blank or comment-only line
+            continue
+        args = m.group("args")
+        if '"' in args:
+            args = _split_quoted(args)
+        else:
+            args = tuple(map(str.strip, args.split(",")))
+            if args == ("",):
+                args = ()
         lit = m.group("lit")
         if lit is None:
             if semiring.default_value is None:

@@ -156,52 +156,46 @@ class Grounding:
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_body(body: SumProdQuery, instance: Instance, domain, callback):
-    """Backtracking enumeration of variable assignments satisfying the body.
+def _enumerate_body(i: int, asg: dict[int, str], atoms, rels, domain, callback):
+    """Backtracking enumeration of the assignments satisfying atoms[i:].
 
     EDB atoms iterate stored facts (absent tuples annihilate the product);
-    IDB atoms range over the active domain.  `callback` sees the complete
-    assignment dict.
+    IDB atoms range over the active domain.  `callback` sees each complete
+    assignment dict, extending `asg`.
     """
-    atoms = body.atoms
-    rels = instance.relations
-
-    def rec(i: int, asg: dict[int, str]):
-        if i == len(atoms):
-            callback(asg)
+    if i == len(atoms):
+        callback(asg)
+        return
+    atom = atoms[i]
+    if not atom.is_idb:
+        rel = rels.get(atom.pred, {})
+        if all(v in asg for v in atom.args):
+            if tuple(asg[v] for v in atom.args) in rel:
+                _enumerate_body(i + 1, asg, atoms, rels, domain, callback)
             return
-        atom = atoms[i]
-        if not atom.is_idb:
-            rel = rels.get(atom.pred, {})
-            if all(v in asg for v in atom.args):
-                if tuple(asg[v] for v in atom.args) in rel:
-                    rec(i + 1, asg)
-                return
-            for fact in sorted(rel):
-                trail = []
-                ok = True
-                for v, c in zip(atom.args, fact):
-                    if v in asg:
-                        if asg[v] != c:
-                            ok = False
-                            break
-                    else:
-                        asg[v] = c
-                        trail.append(v)
-                if ok:
-                    rec(i + 1, asg)
-                for v in trail:
-                    del asg[v]
-        else:
-            unbound = sorted({v for v in atom.args if v not in asg})
-            for combo in itertools.product(domain, repeat=len(unbound)):
-                for v, c in zip(unbound, combo):
+        for fact in sorted(rel):
+            trail = []
+            ok = True
+            for v, c in zip(atom.args, fact):
+                if v in asg:
+                    if asg[v] != c:
+                        ok = False
+                        break
+                else:
                     asg[v] = c
-                rec(i + 1, asg)
-                for v in unbound:
-                    del asg[v]
-
-    rec(0, {})
+                    trail.append(v)
+            if ok:
+                _enumerate_body(i + 1, asg, atoms, rels, domain, callback)
+            for v in trail:
+                del asg[v]
+    else:
+        unbound = sorted({v for v in atom.args if v not in asg})
+        for combo in itertools.product(domain, repeat=len(unbound)):
+            for v, c in zip(unbound, combo):
+                asg[v] = c
+            _enumerate_body(i + 1, asg, atoms, rels, domain, callback)
+            for v in unbound:
+                del asg[v]
 
 
 def _ground_body_naive(
@@ -221,7 +215,7 @@ def _ground_body_naive(
         head = g.intern_var(rule.head_pred, tuple(asg[v] for v in body.head_vars))
         g.add_monomial(head, mono)
 
-    _enumerate_body(body, instance, domain, emit)
+    _enumerate_body(0, {}, body.atoms, rels, domain, emit)
 
 
 def ground_naive(
@@ -269,19 +263,23 @@ def _node_assignments(node: Hyperedge, domain, relations):
                 yield asg, rel[fact]
 
 
+def _collect_subtree(children: dict[int, list[int]], root: int) -> list[int]:
+    """The subtree's nodes breadth-first, so each comes after its parent."""
+    order = [root]
+    for u in order:
+        order.extend(children[u])
+    return order
+
+
 def _subtree_head_vars(
     root: int, children: dict[int, list[int]], nodes: Sequence[Hyperedge], head_set
 ) -> dict[int, frozenset[int]]:
     h_sub: dict[int, frozenset[int]] = {}
-
-    def walk(u: int) -> frozenset[int]:
+    for u in reversed(_collect_subtree(children, root)):
         acc = nodes[u].vertices & head_set
         for c in children[u]:
-            acc |= walk(c)
+            acc |= h_sub[c]
         h_sub[u] = acc
-        return acc
-
-    walk(root)
     return h_sub
 
 
@@ -303,8 +301,9 @@ def _ground_tree(
     fresh IDB named ``<fresh_prefix>_e<s>_<t>`` over (bag(s) & bag(t)) | H_t.
     """
     h_sub = _subtree_head_vars(root, children, nodes, head_set)
-
-    def ground_node(s: int, pred: str, args: tuple[int, ...]) -> None:
+    stack = [(root, head_pred, head_args)]
+    while stack:
+        s, pred, args = stack.pop()
         node = nodes[s]
         bag, atom = node.vertices, node.atom
         e_st = {
@@ -333,10 +332,8 @@ def _ground_tree(
                 ]
                 g.add_monomial(head, mono)
 
-        for t in children[s]:
-            ground_node(t, fresh[t], e_st[t])
-
-    ground_node(root, head_pred, head_args)
+        # Depth-first pre-order, children left to right.
+        stack.extend((t, fresh[t], e_st[t]) for t in reversed(children[s]))
 
 
 def ground_acyclic_rule(
@@ -382,73 +379,75 @@ def _eval_edb_tree(
     Bottom-up join of each node's facts with its children's messages; the
     sum over eliminated variables distributes through the products.
     """
-    plus, times, zero = semiring.plus_fn, semiring.times_fn, semiring.zero
-
-    def eval_node(u: int) -> dict[tuple[str, ...], object]:
-        node = nodes[u]
-        if node.atom.is_idb:
-            raise StrategyNotApplicable("IDB atom inside an EDB-only subtree")
-        bagvars = tuple(sorted(node.vertices))
-        rel: dict[tuple[str, ...], object] = {}
-        for asg, value in _node_assignments(node, (), relations):
-            rel[tuple(asg[v] for v in bagvars)] = value
-        for c in children[u]:
-            crel = eval_node(c)
-            cvars = tuple(sorted(nodes[c].vertices))
-            shared = tuple(sorted(node.vertices & nodes[c].vertices))
-            idx = [cvars.index(v) for v in shared]
-            msg: dict[tuple[str, ...], object] = {}
-            for key, v in crel.items():
-                pkey = tuple(key[i] for i in idx)
-                msg[pkey] = plus(msg[pkey], v) if pkey in msg else v
-            sidx = [bagvars.index(v) for v in shared]
-            rel = {
-                key: times(v, msg[tuple(key[i] for i in sidx)])
-                for key, v in rel.items()
-                if tuple(key[i] for i in sidx) in msg
-            }
-        return rel
-
+    plus, zero = semiring.plus_fn, semiring.zero
     bagvars = tuple(sorted(nodes[root].vertices))
     idx = [bagvars.index(v) for v in out_vars]
     out: dict[tuple[str, ...], object] = {}
-    for key, v in eval_node(root).items():
+    for key, v in _eval_edb_node(root, nodes, children, semiring, relations).items():
         pkey = tuple(key[i] for i in idx)
         out[pkey] = plus(out[pkey], v) if pkey in out else v
     return {k: v for k, v in out.items() if v != zero}
 
 
+def _eval_edb_node(
+    u: int, nodes, children, semiring, relations
+) -> dict[tuple[str, ...], object]:
+    """Node u's facts over its sorted bag, joined with its children's messages."""
+    plus, times = semiring.plus_fn, semiring.times_fn
+    node = nodes[u]
+    if node.atom.is_idb:
+        raise StrategyNotApplicable("IDB atom inside an EDB-only subtree")
+    bagvars = tuple(sorted(node.vertices))
+    rel: dict[tuple[str, ...], object] = {}
+    for asg, value in _node_assignments(node, (), relations):
+        rel[tuple(asg[v] for v in bagvars)] = value
+    for c in children[u]:
+        crel = _eval_edb_node(c, nodes, children, semiring, relations)
+        cvars = tuple(sorted(nodes[c].vertices))
+        shared = tuple(sorted(node.vertices & nodes[c].vertices))
+        idx = [cvars.index(v) for v in shared]
+        msg: dict[tuple[str, ...], object] = {}
+        for key, v in crel.items():
+            pkey = tuple(key[i] for i in idx)
+            msg[pkey] = plus(msg[pkey], v) if pkey in msg else v
+        sidx = [bagvars.index(v) for v in shared]
+        rel = {
+            key: times(v, msg[tuple(key[i] for i in sidx)])
+            for key, v in rel.items()
+            if tuple(key[i] for i in sidx) in msg
+        }
+    return rel
+
+
 def ground_linear_acyclic2(
     program: Program,
     body: SumProdQuery,
+    tree: JoinTree,
     instance: Instance,
     g: Grounding,
     head_pred: str,
     rule_tag: str,
-) -> None:
+) -> int:
     """Grounding for a linear acyclic body when all IDB arities are <= 2.
 
+    `tree` is the body's join tree, which has no free-connex rooting.
     Rooted at the first node other than the IDB's that holds a head
     variable.  When every head variable in the IDB's subtree occurs in the
     IDB atom itself (always so for a leaf IDB), this is the plain join-tree
     recursion.  Otherwise the one head variable trapped below the IDB is
     carried along a chain of join-project rules from the IDB down to the
     nearest node holding it, keeping the grounding within O(m * n).
+    Returns the root it grounded from.
     """
     if len(body.idb_atoms()) > 1:
         raise StrategyNotApplicable("body is not linear")
     if program.arity_bound > 2:
         raise StrategyNotApplicable("an IDB has arity > 2")
-    tree = gyo_join_tree(build_hypergraph(body))
-    if isinstance(tree, CyclicVerdict):
-        raise StrategyNotApplicable("body is cyclic")
 
     if not body.idb_atoms():
-        root = free_connex_root(tree, body.head_set)
-        if root is None:
-            root = choose_root(tree, body.head_set)
+        root = choose_root(tree, body.head_set)
         ground_acyclic_rule(body, tree, root, instance, g, head_pred, rule_tag)
-        return
+        return root
 
     nodes = tree.nodes
     t_node = next(n.id for n in nodes if n.atom.is_idb)
@@ -470,7 +469,7 @@ def ground_linear_acyclic2(
         # Nothing below the IDB (a leaf IDB has no subtree) needs carrying
         # past it: the plain join-tree recursion, unconditionally correct.
         ground_acyclic_rule(body, tree, root, instance, g, head_pred, rule_tag)
-        return
+        return root
     if len(trapped) > 1:
         raise StrategyNotApplicable("more than one head variable below the IDB")
     y = trapped[0]
@@ -484,13 +483,7 @@ def ground_linear_acyclic2(
         nodes, children, t_node, root, y, z, body, instance.active_domain,
         instance.relations, g, head_pred, rule_tag,
     )
-
-
-def _collect_subtree(children: dict[int, list[int]], root: int) -> list[int]:
-    out = [root]
-    for c in children[root]:
-        out.extend(_collect_subtree(children, c))
-    return out
+    return root
 
 
 def _ground_via_chain(
@@ -639,13 +632,16 @@ def ground_program(
                 continue
             if strategy == "auto":
                 try:
-                    ground_linear_acyclic2(
-                        program, body, instance, g, rule.head_pred, tag
+                    root = ground_linear_acyclic2(
+                        program, body, tree, instance, g, rule.head_pred, tag
                     )
-                    report.append(BodyStrategy(rule.head_pred, bi, "linear-arity2"))
-                    continue
                 except StrategyNotApplicable:
                     pass
+                else:
+                    report.append(
+                        BodyStrategy(rule.head_pred, bi, "linear-arity2", root)
+                    )
+                    continue
             root = choose_root(tree, body.head_set)
             ground_acyclic_rule(body, tree, root, instance, g, rule.head_pred, tag)
             report.append(BodyStrategy(rule.head_pred, bi, "acyclic", root))

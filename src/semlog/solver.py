@@ -1,10 +1,11 @@
 """Fixpoint solvers over grounded equation systems.
 
-The grounding is first rewritten into 2-canonical form (every equation is
-y = a (+) b or y = a (x) b).  Two specialized least-fixpoint solvers run on
-that form: a worklist solver for finite-rank semirings and a priority-queue
-solver for absorptive, totally ordered ones.  Kleene iteration is kept both
-on the canonical system and directly on programs as independent oracles.
+The priority-queue solver for absorptive, totally ordered semirings runs on
+the grounding's sums of monomials directly.  The worklist solver for
+finite-rank semirings runs on its 2-canonical rewrite (every equation is
+y = a (+) b or y = a (x) b), so only that path reports `canonical_size`.
+Kleene iteration is kept both on the canonical system and directly on
+programs as independent oracles.
 """
 
 from __future__ import annotations
@@ -238,57 +239,68 @@ def solve_rank(
 # ---------------------------------------------------------------------------
 
 
-def solve_absorptive(sys: TwoCanonicalSystem) -> tuple[list, dict]:
+def solve_absorptive(g: Grounding) -> Solution:
     """Dijkstra-style least fixpoint for absorptive, totally ordered semirings.
 
-    Pops variables in descending natural order (ascending sort key) and
-    freezes each on first pop; products can only stay below their factors,
-    so a frozen value is final.  Stale heap entries are skipped lazily.
-    Returns (values, stats).
+    Knuth's generalized Dijkstra on the sums of monomials, with
+    Dowling-Gallier counters: a monomial fires once all its variable
+    operands are frozen.  Variables pop in descending natural order
+    (ascending sort key) and freeze on first pop; products can only stay
+    below their factors, so a frozen value is final.  Only a firing that
+    raises a variable pushes it; stale heap entries are skipped lazily.
     """
-    sr = sys.semiring
+    sr = g.semiring
     if not (sr.is_absorptive and sr.is_total_order and sr.key_fn is not None):
         raise SolverCapabilityError(
             f"semiring {sr.name} is not absorptive with a total order key"
         )
-    plus, times, key = sr.plus_fn, sr.times_fn, sr.key_fn
-    apply = {OP_PLUS: plus, OP_TIMES: times}
-    values = list(sys.init_values)
-    frozen = [c for c in sys.is_const]  # constants are born final
+    plus, times, key, zero, one = sr.plus_fn, sr.times_fn, sr.key_fn, sr.zero, sr.one
+    kinds = g.kinds
+    values = [zero if k == KIND_VAR else v for k, v in zip(kinds, g.values)]
+    frozen = [False] * len(kinds)
+    heads = [head for head, head_monos in g.equations.items() for _ in head_monos]
+    monos = [mono for head_monos in g.equations.values() for mono in head_monos]
+    uses: list[list[int]] = [[] for _ in kinds]  # variable -> monomial per use
+    waiting: list[int] = []  # unfrozen variable operands, with multiplicity
     heap: list[tuple[object, int]] = []
 
-    def relax(eq_idx: int) -> None:
-        lhs, op, a, b = sys.equations[eq_idx]
-        if frozen[lhs]:
-            return
-        cand = apply[op](values[a], values[b])
-        new = plus(values[lhs], cand)
-        if new != values[lhs]:
-            values[lhs] = new
-            heapq.heappush(heap, (key(new), lhs))
+    def fire(m: int) -> None:
+        prod = one
+        for a in monos[m]:
+            prod = times(prod, values[a])
+        head = heads[m]
+        new = plus(values[head], prod)
+        if new != values[head]:
+            values[head] = new
+            heapq.heappush(heap, (key(new), head))
 
-    for eq_idx in range(len(sys.equations)):
-        relax(eq_idx)
-    # Variables never relaxed stay at the additive identity; freeze them via
-    # the heap too so the pop discipline covers every variable exactly once.
-    for nid, const in enumerate(sys.is_const):
-        if not const:
-            heapq.heappush(heap, (key(values[nid]), nid))
+    for m, mono in enumerate(monos):
+        count = 0
+        for a in mono:
+            if kinds[a] == KIND_VAR:
+                uses[a].append(m)
+                count += 1
+        waiting.append(count)
+        if not count:
+            fire(m)
 
     pops: list[tuple[int, object]] = []
     stale = 0
     while heap:
-        k, nid = heapq.heappop(heap)
-        if frozen[nid] or k != key(values[nid]):
+        k, aid = heapq.heappop(heap)
+        if frozen[aid] or k != key(values[aid]):
             stale += 1
             continue
-        frozen[nid] = True
-        pops.append((nid, values[nid]))
-        for eq_idx in sys.uses.get(nid, ()):
-            relax(eq_idx)
+        frozen[aid] = True
+        pops.append((aid, values[aid]))
+        for m in uses[aid]:
+            waiting[m] -= 1
+            if not waiting[m] and not frozen[heads[m]]:
+                fire(m)
 
+    atom_values = {aid: values[aid] for aid, kind in enumerate(kinds) if kind == KIND_VAR}
     stats = {"pops": pops, "popped": len(pops), "stale_skips": stale}
-    return values, stats
+    return Solution(sr, atom_values, "absorptive", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +474,20 @@ def solve_grounding(
     max_iters: Optional[int] = None,
     on_update: Optional[Callable[[int, object], None]] = None,
 ) -> Solution:
-    """Canonicalize and solve, picking a solver the semiring supports."""
+    """Solve with a method the semiring supports; only `rank` canonicalizes."""
     if method not in METHODS:
         raise ValueError(f"unknown solver method {method!r}")
     if method == "auto":
         method = pick_method(g.semiring)
     if method == "kleene":
         sol = kleene_grounding(g, max_iters=max_iters)
-        sol.stats["grounding_size"] = g.size
-        return sol
-    sys = to_two_canonical(g)
-    if method == "rank":
+    elif method == "absorptive":
+        sol = solve_absorptive(g)
+    else:
+        sys = to_two_canonical(g)
         values, stats = solve_rank(sys, on_update=on_update)
         stats["semiring_ops"] = stats["init_ops"] + stats["loop_ops"]
-    else:
-        values, stats = solve_absorptive(sys)
-    stats["canonical_size"] = sys.size
-    stats["grounding_size"] = g.size
-    return _extract(sys, values, g, method, stats)
+        stats["canonical_size"] = sys.size
+        sol = _extract(sys, values, g, method, stats)
+    sol.stats["grounding_size"] = g.size
+    return sol

@@ -58,6 +58,16 @@ def test_ground_explain(tc_files, capsys):
     assert "x_T_a_b = " in out
 
 
+def test_ground_explain_shows_the_grounded_root(tc_files, capsys):
+    prog, facts = tc_files
+    rc = main(["ground", "--program", prog, "--facts", facts,
+               "--semiring", "tropical", "--explain"])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert ("% rule T body 1:\n%   strategy linear-arity2\n"
+            "%   R(v2,v1)\n%     T(v0,v2)\n") in out
+
+
 def test_check_agrees(tc_files, capsys):
     prog, facts = tc_files
     rc = main(["check", "--program", prog, "--facts", facts,

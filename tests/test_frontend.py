@@ -146,6 +146,16 @@ def test_parse_facts_comments_and_quotes():
     assert ("a b", "c") in inst.relations["R"]
 
 
+def test_parse_facts_quoted_comma_and_percent():
+    inst = parse_facts('E("a,b", c).\nE("50%", "f(x)") . % note\n', boolean())
+    assert inst.relations["E"] == {("a,b", "c"): True, ("50%", "f(x)"): True}
+
+
+def test_parse_facts_unbalanced_quote_is_malformed():
+    with pytest.raises(ValidationError):
+        parse_facts('E("a, b).\n', boolean())
+
+
 def test_check_instance_against():
     p = parse_program(TC)
     inst = parse_facts("T(a,b) = 1.\n", tropical())

@@ -1,10 +1,14 @@
+import gc
 import random
 
 import pytest
 
 import semlog
+from semlog import grounding
+from semlog.cli import build_bench_instance
 from semlog.frontend import parse_program
 from semlog.grounding import (
+    BodyStrategy,
     CapExceeded,
     CyclicRuleError,
     ground_naive,
@@ -107,6 +111,53 @@ def test_strategy_report_auto():
     assert ("SG", 1, "linear-arity2") in sg
     sssp = strategies("sssp")
     assert all(s == "acyclic-free-connex" for _, _, s in sssp)
+
+
+def apsp_instance():
+    edges = {("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "a"): 3.0}
+    return semlog.build_instance({"E": edges}, tropical())
+
+
+def test_one_join_tree_per_body(monkeypatch):
+    calls = []
+    real = grounding.gyo_join_tree
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(grounding, "gyo_join_tree", counted)
+    ground_program(semlog.corpus_program("apsp"), apsp_instance())
+    assert len(calls) == 2  # one per body
+
+
+def test_linear_arity2_reports_its_root():
+    _, report = ground_program(semlog.corpus_program("apsp"), apsp_instance())
+    # T(x1, x3), E(x3, x2): grounded from E, the node holding head var x2.
+    assert report[1] == BodyStrategy("T", 1, "linear-arity2", 1)
+
+
+def _query(program, inst):
+    g, _ = ground_program(program, inst)
+    return solve_grounding(g).relation(g, program.target)
+
+
+@pytest.mark.parametrize(
+    "name, sr",
+    [("apsp", tropical()), ("andersen", boolean()), ("ex51_star", tropical())],
+    ids=["apsp", "andersen", "ex51_star"],
+)
+def test_query_leaves_no_reference_cycles(name, sr):
+    """A query's grounding is freed by reference counting alone."""
+    program = semlog.corpus_program(name)
+    inst = build_bench_instance(program, "random-graph", 48, sr, random.Random(name))
+    gc.collect()
+    gc.disable()
+    try:
+        assert _query(program, inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_acyclic_strategy_rejects_cyclic_rule():

@@ -23,7 +23,7 @@ from semlog.solver import (
     _extract,
 )
 
-from conftest import random_instance, warshall
+from conftest import brute_force_fixpoint, random_instance, warshall
 
 TC = semlog.corpus_program("eq2_tc")
 
@@ -109,9 +109,8 @@ def test_capability_errors():
     with pytest.raises(SolverCapabilityError):
         solve_rank(trop)
     nat_inst = semlog.build_instance({"R": {("a", "b"): 2}}, naturals())
-    nat = to_two_canonical(ground_naive(TC, nat_inst))
     with pytest.raises(SolverCapabilityError):
-        solve_absorptive(nat)
+        solve_absorptive(ground_naive(TC, nat_inst))
     with pytest.raises(SolverCapabilityError):
         solve_grounding(ground_naive(TC, nat_inst), method="absorptive")
 
@@ -169,6 +168,67 @@ def test_absorptive_pop_discipline():
         assert len(ids) == len(set(ids)), "variable popped twice"
         keys = [tropical().key_fn(v) for _, v in pops]
         assert keys == sorted(keys), "pop keys must be non-decreasing"
+
+
+# Two coefficient values per absorptive semiring, both non-zero.
+ABSORPTIVE_COEFFS = [(tropical(), 1.0, 2.0), (boolean(), True, True), (access(), "S", "C")]
+
+
+def hand_grounding(sr, c1, c2):
+    """x = c1 + c1*c2;  y = x*x*c2 + y*c1;  z = z*u;  u = z*c2;  w has no monomial."""
+    g = Grounding(sr)
+    x, y, z, u, w = (g.intern_var("T", (name,)) for name in "xyzuw")
+    a = g.intern_coeff("E", ("a",), c1)
+    b = g.intern_coeff("E", ("b",), c2)
+    g.add_monomial(x, [a])  # coefficients only
+    g.add_monomial(x, [a, b])
+    g.add_monomial(y, [x, x, b])  # repeated variable
+    g.add_monomial(y, [y, a])
+    g.add_monomial(z, [z, u])  # z and u stay at zero
+    g.add_monomial(u, [z, b])
+    g.ensure_equation(w)  # empty equation
+    return g.finalize()
+
+
+def assert_pops_count_nonzero(sol):
+    nonzero = sum(v != sol.semiring.zero for v in sol.atom_values.values())
+    assert sol.stats["popped"] == nonzero
+
+
+@pytest.mark.parametrize(
+    "sr, c1, c2", ABSORPTIVE_COEFFS, ids=[c[0].name for c in ABSORPTIVE_COEFFS]
+)
+def test_absorptive_hand_grounding(sr, c1, c2):
+    g = hand_grounding(sr, c1, c2)
+    sol = solve_absorptive(g)
+    assert sol.atom_values == kleene_grounding(g).atom_values
+    named = sol.named(g)
+    assert named["x_T_x"] != sr.zero and named["x_T_y"] != sr.zero
+    assert named["x_T_z"] == named["x_T_u"] == named["x_T_w"] == sr.zero
+    assert_pops_count_nonzero(sol)
+
+
+# A repeated IDB atom gives monomials with a repeated variable; naive
+# grounding adds empty equations and variables that stay at zero.
+SQUARE = semlog.parse_program(
+    "T(x) :- S(x).\n"
+    "T(y) :- T(x), T(x), R(x, y).\n"
+    "@target T.\n"
+)
+
+
+@pytest.mark.parametrize("sr", [c[0] for c in ABSORPTIVE_COEFFS], ids=lambda sr: sr.name)
+def test_absorptive_matches_oracles(sr):
+    rng = random.Random(f"absorptive:{sr.name}")
+    for _ in range(20):
+        inst = random_instance(SQUARE, sr, rng, nmax=5)
+        want = brute_force_fixpoint(SQUARE, inst)["T"]
+        for strategy in ("naive", "auto"):
+            g, _ = ground_program(SQUARE, inst, strategy=strategy)
+            sol = solve_absorptive(g)
+            assert sol.relation(g, "T") == want, strategy
+            assert sol.atom_values == kleene_grounding(g).atom_values, strategy
+            assert_pops_count_nonzero(sol)
 
 
 def test_rank_visit_bound():
