@@ -5,6 +5,7 @@ from importlib import resources
 from .semirings import (
     Semiring,
     SemiringTypeError,
+    UserInputError,
     access,
     axiom_suite,
     boolean,
@@ -59,7 +60,7 @@ CORPUS_ALL = CORPUS + ("anbncn",)
 
 def corpus_text(name: str) -> str:
     if name not in CORPUS_ALL:
-        raise KeyError(f"unknown corpus program {name!r}")
+        raise UserInputError(f"unknown corpus program {name!r}")
     return (resources.files(__name__) / "corpus" / f"{name}.dl").read_text()
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: run, ground, check, bench, classify.
 
-Exit codes: 0 success; 2 parse/validation error; 3 solver capability error;
-4 grounding cap exceeded; 5 non-convergence; 6 cross-check disagreement.
+Exit codes: 0 success; 2 parse/validation or usage error; 3 solver
+capability error; 4 grounding cap exceeded; 5 non-convergence; 6 cross-check
+disagreement.  Any other exception is a bug: it propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .grounding import (
     STRATEGIES,
     ground_program,
 )
-from .semirings import semiring_from_token
+from .semirings import UserInputError, semiring_from_token
 from .solver import (
     METHODS,
     NonConvergence,
@@ -51,9 +52,10 @@ EXIT_NONCONVERGENCE = 5
 EXIT_DISAGREEMENT = 6
 
 EXIT_CODE_HELP = (
-    "exit codes: 0 success, 2 parse/validation error, 3 solver capability "
-    "error, 4 grounding size cap exceeded, 5 non-convergence, "
-    "6 cross-check disagreement"
+    "exit codes: 0 success, 2 parse/validation or usage error (unreadable "
+    "file, unknown corpus program, semiring, bench family or size), 3 solver "
+    "capability error, 4 grounding size cap exceeded, 5 non-convergence, "
+    "6 cross-check disagreement; an internal error exits 1 with a traceback"
 )
 
 
@@ -100,11 +102,18 @@ class StatsReport:
         return out
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UserInputError(f"{path}: not a text file ({exc.reason})") from exc
+
+
 def _load_program_text(token: str) -> str:
     if token.startswith("corpus:"):
         return corpus_text(token.split(":", 1)[1])
-    with open(token) as fh:
-        return fh.read()
+    return _read_text(token)
 
 
 def _load_inputs(cfg: RunConfig):
@@ -113,8 +122,7 @@ def _load_inputs(cfg: RunConfig):
     if cfg.facts is None:
         instance = build_instance({}, sr)
     else:
-        with open(cfg.facts) as fh:
-            instance = parse_facts(fh.read(), sr)
+        instance = parse_facts(_read_text(cfg.facts), sr)
     check_instance_against(program, instance)
     return program, instance
 
@@ -292,7 +300,7 @@ def build_bench_instance(program, family: str, size: int, semiring, rng, nodes=N
         n = nodes if nodes else max(4, 2 * int(math.isqrt(size)))
         make = lambda: gen_random_graph(n, size, rng)
     else:
-        raise ValueError(f"unknown bench family {family!r}")
+        raise UserInputError(f"unknown bench family {family!r}")
 
     def annot(w):
         if semiring.name == "tropical":
@@ -314,8 +322,19 @@ def build_bench_instance(program, family: str, size: int, semiring, rng, nodes=N
         if arity == 1:
             relations[pred] = {(v,): semiring.one for v in sorted(all_nodes)}
         elif arity != 2:
-            raise ValueError(f"bench cannot generate arity-{arity} EDB {pred}")
+            raise UserInputError(f"bench cannot generate arity-{arity} EDB {pred}")
     return build_instance(relations, semiring)
+
+
+def parse_sizes(text: str) -> list[int]:
+    """The `--sizes` schedule: comma-separated positive integers."""
+    try:
+        sizes = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise UserInputError(f"--sizes wants comma-separated positive integers, got {text!r}")
+    return sizes
 
 
 def loglog_slope(xs: list[float], ys: list[float]) -> float:
@@ -349,16 +368,14 @@ def cmd_bench(
             f"{csize},{sol.method},{wall:.4f},ok"
         )
         rows.append((instance.m, instance.n, g.size))
-    if len(rows) >= 2:
-        ms = [r[0] for r in rows]
-        ns = [r[1] for r in rows]
-        gs = [r[2] for r in rows]
-        print(f"slope |G| vs m: {loglog_slope(ms, gs):.3f}", file=sys.stderr)
-        print(f"slope |G| vs n: {loglog_slope(ns, gs):.3f}", file=sys.stderr)
-        print(
-            f"slope |G| vs m*n: {loglog_slope([m * n for m, n in zip(ms, ns)], gs):.3f}",
-            file=sys.stderr,
-        )
+    gs = [r[2] for r in rows]
+    for label, xs in (
+        ("m", [m for m, _, _ in rows]),
+        ("n", [n for _, n, _ in rows]),
+        ("m*n", [m * n for m, n, _ in rows]),
+    ):
+        if len(set(xs)) >= 2:  # a slope needs two distinct sizes
+            print(f"slope |G| vs {label}: {loglog_slope(xs, gs):.3f}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -427,10 +444,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "classify":
             return cmd_classify(cfg)
         if args.command == "bench":
-            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+            sizes = parse_sizes(args.sizes)
             return cmd_bench(cfg, args.seed, args.family, sizes, args.nodes)
         raise AssertionError(args.command)
-    except (FrontendError, ValueError, OSError, KeyError) as exc:
+    except (UserInputError, FrontendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SolverCapabilityError as exc:

@@ -20,6 +20,13 @@ class SemiringTypeError(TypeError):
     """Operand outside the semiring's domain (e.g. mixed instances)."""
 
 
+class UserInputError(ValueError):
+    """A name or setting given by the user that semlog does not know.
+
+    The CLI exits with code 2 on it; any other `ValueError` is a bug.
+    """
+
+
 @dataclass(frozen=True)
 class Semiring:
     """Operations, identities, natural order and capability flags.
@@ -192,7 +199,7 @@ def set_semiring(universe: Iterable[str]) -> Semiring:
     """(2^K, union, intersection, {}, K) over a fixed finite universe K."""
     k = frozenset(universe)
     if not k:
-        raise ValueError("set semiring needs a non-empty universe")
+        raise UserInputError("set semiring needs a non-empty universe")
 
     def parse(text: str) -> frozenset:
         text = text.strip()
@@ -269,7 +276,7 @@ def semiring_from_token(token: str) -> Semiring:
     if token.startswith("set:"):
         items = [s for s in token[4:].split(",") if s.strip()]
         return set_semiring(s.strip() for s in items)
-    raise ValueError(f"unknown semiring token {token!r}")
+    raise UserInputError(f"unknown semiring token {token!r}")
 
 
 # ---------------------------------------------------------------------------

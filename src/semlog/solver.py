@@ -4,8 +4,10 @@ The priority-queue solver for absorptive, totally ordered semirings runs on
 the grounding's sums of monomials directly.  The worklist solver for
 finite-rank semirings runs on its 2-canonical rewrite (every equation is
 y = a (+) b or y = a (x) b), so only that path reports `canonical_size`.
-Kleene iteration is kept both on the canonical system and directly on
-programs as independent oracles.
+The rewrite is a set of parallel int lists with a per-node `uses` index,
+and the worklist is seeded only with the equations that have a constant
+operand.  Kleene iteration is kept both on the canonical system and
+directly on programs as independent oracles.
 """
 
 from __future__ import annotations
@@ -32,57 +34,44 @@ class NonConvergence(SolverError):
         self.iterations = iterations
 
 
-OP_PLUS = "+"
-OP_TIMES = "*"
+OP_PLUS = 0
+OP_TIMES = 1
 
 
 class TwoCanonicalSystem:
-    """Equations (lhs, op, a, b) over interned nodes.
+    """Binary equations lhs[i] = a[i] (ops[i]) b[i] over integer nodes.
 
-    Nodes 0 and 1 are the constant additive/multiplicative identities;
-    coefficient nodes are constants, every variable node has exactly one
-    defining equation.  `uses[v]` lists each equation index once per
-    occurrence of v as an operand, so an equation appears twice when both
-    operands are v.
+    Node 0 is the additive identity, node 1 the multiplicative one, node
+    `ATOMS + aid` is grounding atom `aid` (a constant for a coefficient) and
+    temporaries follow.  Every variable node is the left-hand side of at most
+    one equation.  `uses[v]` lists each equation once per occurrence of
+    variable v as an operand, so an equation appears twice when both operands
+    are v; a constant's `uses` is empty.  `seeds` lists the equations with a
+    constant operand.
     """
-
-    def __init__(self, semiring):
-        self.semiring = semiring
-        self.init_values: list = [semiring.zero, semiring.one]
-        self.is_const: list[bool] = [True, True]
-        self.equations: list[tuple[int, str, int, int]] = []
-        self.uses: dict[int, list[int]] = {}
-        self.node_of_atom: dict[int, int] = {}
 
     ZERO = 0
     ONE = 1
+    ATOMS = 2
 
-    def new_const(self, value) -> int:
-        nid = len(self.init_values)
-        self.init_values.append(value)
-        self.is_const.append(True)
-        return nid
-
-    def new_var(self) -> int:
-        nid = len(self.init_values)
-        self.init_values.append(self.semiring.zero)
-        self.is_const.append(False)
-        return nid
-
-    def add_equation(self, lhs: int, op: str, a: int, b: int) -> None:
-        eq = len(self.equations)
-        self.equations.append((lhs, op, a, b))
-        for operand in (a, b):
-            if not self.is_const[operand]:
-                self.uses.setdefault(operand, []).append(eq)
+    def __init__(self, semiring):
+        self.semiring = semiring
+        self.init_values: list = []
+        self.lhs: list[int] = []
+        self.a: list[int] = []
+        self.b: list[int] = []
+        self.ops: list[int] = []
+        self.uses: list[list[int]] = []
+        self.seeds: list[int] = []
+        self.var_count = 0
 
     @property
     def size(self) -> int:
         """Occurrence count: one left-hand side plus two operands per equation."""
-        return 3 * len(self.equations)
+        return 3 * len(self.lhs)
 
     def num_vars(self) -> int:
-        return sum(1 for c in self.is_const if not c)
+        return self.var_count
 
 
 def to_two_canonical(g: Grounding) -> TwoCanonicalSystem:
@@ -92,50 +81,65 @@ def to_two_canonical(g: Grounding) -> TwoCanonicalSystem:
     equation consisting of one length-1 monomial becomes y = x (x) one.
     The result has size at most 4x the grounding's.
     """
-    sys = TwoCanonicalSystem(g.semiring)
-
-    def node_for(aid: int) -> int:
-        nid = sys.node_of_atom.get(aid)
-        if nid is None:
-            if g.kinds[aid] == KIND_COEFF:
-                nid = sys.new_const(g.values[aid])
-            else:
-                nid = sys.new_var()
-            sys.node_of_atom[aid] = nid
-        return nid
-
-    def product_chain(operands: list[int], out: Optional[int]) -> int:
-        """Chain of (x) equations; the last one targets `out` if given."""
-        acc = operands[0]
-        for i, nxt in enumerate(operands[1:], start=2):
-            last = i == len(operands)
-            lhs = out if (last and out is not None) else sys.new_var()
-            sys.add_equation(lhs, OP_TIMES, acc, nxt)
-            acc = lhs
-        return acc
-
+    sr = g.semiring
+    sys = TwoCanonicalSystem(sr)
+    base, kinds = sys.ATOMS, g.kinds
+    lhs, xs, ys, ops = sys.lhs, sys.a, sys.b, sys.ops
+    temp = first_temp = base + len(kinds)  # the next temporary node
     for head, monos in g.equations.items():
-        hv = node_for(head)
         if not monos:
-            sys.add_equation(hv, OP_PLUS, sys.ZERO, sys.ZERO)
-            continue
-        if len(monos) == 1:
-            ops = [node_for(a) for a in monos[0]]
-            if len(ops) == 1:
-                sys.add_equation(hv, OP_TIMES, ops[0], sys.ONE)
-            else:
-                product_chain(ops, hv)
+            lhs.append(head + base)
+            xs.append(sys.ZERO)
+            ys.append(sys.ZERO)
+            ops.append(OP_PLUS)
             continue
         summands = []
         for mono in monos:
-            ops = [node_for(a) for a in mono]
-            summands.append(ops[0] if len(ops) == 1 else product_chain(ops, None))
-        acc = summands[0]
-        for i, nxt in enumerate(summands[1:], start=2):
-            last = i == len(summands)
-            lhs = hv if last else sys.new_var()
-            sys.add_equation(lhs, OP_PLUS, acc, nxt)
-            acc = lhs
+            acc = mono[0] + base
+            for x in mono[1:]:
+                lhs.append(temp)
+                xs.append(acc)
+                ys.append(x + base)
+                ops.append(OP_TIMES)
+                acc = temp
+                temp += 1
+            summands.append(acc)
+        if len(summands) == 1:
+            if len(monos[0]) == 1:
+                lhs.append(head + base)
+                xs.append(acc)
+                ys.append(sys.ONE)
+                ops.append(OP_TIMES)
+                continue
+        else:
+            acc = summands[0]
+            for s in summands[1:]:
+                lhs.append(temp)
+                xs.append(acc)
+                ys.append(s)
+                ops.append(OP_PLUS)
+                acc = temp
+                temp += 1
+        lhs[-1] = head + base  # the chain ends in the head, not a temporary
+        temp -= 1
+
+    ntemps = temp - first_temp
+    zero = sr.zero
+    atoms = [zero if k == KIND_VAR else v for k, v in zip(kinds, g.values)]
+    sys.init_values = [zero, sr.one] + atoms + [zero] * ntemps
+    sys.var_count = kinds.count(KIND_VAR) + ntemps
+    is_var = [False, False] + [k == KIND_VAR for k in kinds] + [True] * ntemps
+    uses = sys.uses = [[] if v else () for v in is_var]
+    seeds = sys.seeds
+    for eq, (x, y) in enumerate(zip(xs, ys)):
+        if is_var[x]:
+            uses[x].append(eq)
+            if is_var[y]:
+                uses[y].append(eq)
+                continue
+        elif is_var[y]:
+            uses[y].append(eq)
+        seeds.append(eq)
     return sys
 
 
@@ -167,12 +171,9 @@ class Solution:
 
 
 def _extract(sys: TwoCanonicalSystem, values, g: Grounding, method, stats) -> Solution:
-    atom_values = {}
-    for aid, kind in enumerate(g.kinds):
-        if kind != KIND_VAR:
-            continue
-        nid = sys.node_of_atom.get(aid)
-        atom_values[aid] = values[nid] if nid is not None else g.semiring.zero
+    atom_values = {
+        aid: values[sys.ATOMS + aid] for aid, kind in enumerate(g.kinds) if kind == KIND_VAR
+    }
     return Solution(g.semiring, atom_values, method, stats)
 
 
@@ -187,9 +188,11 @@ def solve_rank(
 ) -> tuple[list, dict]:
     """Worklist least fixpoint for finite-rank semirings.
 
-    Every variable climbs the natural order at most r times, so each
-    equation re-evaluates at most 2r times after the seeding pass.
-    Returns (values, stats).
+    The seeding pass evaluates only the equations with a constant operand:
+    one over two variables reads 0 (+) 0 or 0 (x) 0 until an operand
+    changes, and then it is queued.  Every variable climbs the natural
+    order at most r times, so each equation is visited at most 2r times
+    after the seeding pass.  Returns (values, stats).
     """
     sr = sys.semiring
     if sr.finite_rank is None:
@@ -197,37 +200,32 @@ def solve_rank(
             f"semiring {sr.name} has no declared finite rank"
         )
     plus, times = sr.plus_fn, sr.times_fn
-    apply = {OP_PLUS: plus, OP_TIMES: times}
+    lhs, xs, ys, ops, uses = sys.lhs, sys.a, sys.b, sys.ops, sys.uses
     values = list(sys.init_values)
-    visits = [0] * len(sys.equations)
-    loop_ops = 0
-    queue = []
-
-    def assign(lhs: int, new) -> None:
-        values[lhs] = new
-        if on_update is not None:
-            on_update(lhs, new)
-        queue.extend(sys.uses.get(lhs, ()))
-
-    # Seeding pass: evaluate every equation once.
-    init_ops = len(sys.equations)
-    for lhs, op, a, b in sys.equations:
-        new = apply[op](values[a], values[b])
-        if new != values[lhs]:
-            assign(lhs, new)
-
+    visits = [0] * len(lhs)
+    queue: list[int] = []
+    # The update below is written out twice: a closure call per update is slower.
+    for eq in sys.seeds:
+        new = (times if ops[eq] else plus)(values[xs[eq]], values[ys[eq]])
+        y = lhs[eq]
+        if new != values[y]:
+            values[y] = new
+            if on_update is not None:
+                on_update(y, new)
+            queue += uses[y]
     while queue:
         eq = queue.pop()
-        lhs, op, a, b = sys.equations[eq]
         visits[eq] += 1
-        loop_ops += 1
-        new = apply[op](values[a], values[b])
-        if new != values[lhs]:
-            assign(lhs, new)
-
+        new = (times if ops[eq] else plus)(values[xs[eq]], values[ys[eq]])
+        y = lhs[eq]
+        if new != values[y]:
+            values[y] = new
+            if on_update is not None:
+                on_update(y, new)
+            queue += uses[y]
     stats = {
-        "init_ops": init_ops,
-        "loop_ops": loop_ops,
+        "init_ops": len(sys.seeds),
+        "loop_ops": sum(visits),
         "equation_visits": visits,
         "max_equation_visits": max(visits, default=0),
     }
@@ -313,14 +311,15 @@ def kleene_system(
 ) -> tuple[list, dict]:
     """Synchronous Kleene iteration on the canonical system."""
     sr = sys.semiring
-    apply = {OP_PLUS: sr.plus_fn, OP_TIMES: sr.times_fn}
+    plus, times = sr.plus_fn, sr.times_fn
     if max_iters is None:
         max_iters = 10 * sys.num_vars() + 10
+    equations = list(zip(sys.lhs, sys.ops, sys.a, sys.b))
     values = list(sys.init_values)
     for it in range(1, max_iters + 1):
         nxt = list(values)
-        for lhs, op, a, b in sys.equations:
-            nxt[lhs] = apply[op](values[a], values[b])
+        for lhs, op, a, b in equations:
+            nxt[lhs] = (times if op else plus)(values[a], values[b])
         if nxt == values:
             return values, {"iterations": it}
         values = nxt

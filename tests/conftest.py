@@ -119,6 +119,9 @@ def random_instance(program, sr, rng, nmax=6, wmax=10):
                 rel[t] = rng.choice(["P", "C", "S", "T"])
             elif sr.name == "naturals":
                 rel[t] = rng.randint(1, 3)
+            elif sr.name.startswith("set:"):  # a random non-empty subset
+                universe = sorted(sr.one)
+                rel[t] = frozenset(rng.sample(universe, rng.randint(1, len(universe))))
             else:
                 rel[t] = sr.one
         if rel:

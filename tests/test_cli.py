@@ -1,8 +1,13 @@
 import json
 
+import random
+
 import pytest
 
-from semlog.cli import main
+import semlog
+from semlog import cli
+from semlog.cli import build_bench_instance, main
+from semlog.semirings import UserInputError, boolean
 
 TC = "T(x1, x2) :- R(x1, x2).\nT(x1, x2) :- T(x1, x3), R(x3, x2).\n@target T.\n"
 
@@ -104,6 +109,53 @@ def test_bad_program_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     rc = main(["run", "--program", "/nonexistent.dl", "--facts", "/dev/null"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--program", "corpus:nope"],
+    ["run", "--program", "corpus:eq2_tc", "--semiring", "bogus"],
+    ["run", "--program", "corpus:eq2_tc", "--semiring", "set:"],
+    ["bench", "--program", "corpus:eq2_tc", "--sizes", "8,x"],
+    ["bench", "--program", "corpus:eq2_tc", "--sizes", "0"],
+    ["bench", "--program", "corpus:eq1_pcomplete", "--sizes", "8"],
+], ids=["corpus", "semiring", "empty-set", "sizes", "zero-size", "bench-arity"])
+def test_user_errors_exit_2(args, capsys):
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_binary_facts_file_exits_2(tmp_path, capsys):
+    facts = tmp_path / "facts.bin"
+    facts.write_bytes(b"\xff\xfe\x00R(a,b).\n")
+    assert main(["run", "--program", "corpus:eq2_tc", "--facts", str(facts)]) == 2
+    assert "not a text file" in capsys.readouterr().err
+
+
+def test_unknown_bench_family_is_a_user_error():
+    with pytest.raises(UserInputError):
+        build_bench_instance(semlog.corpus_program("eq2_tc"), "tree", 8, boolean(),
+                             random.Random(0))
+
+
+def test_internal_error_is_not_a_user_error(tc_files, monkeypatch):
+    """A bug raising KeyError or ValueError propagates with its traceback."""
+    prog, facts = tc_files
+    for exc in (KeyError("atom 7"), ValueError("bad state")):
+        def broken(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve_grounding", broken)
+        with pytest.raises(type(exc)):
+            main(["run", "--program", prog, "--facts", facts, "--semiring", "tropical"])
+
+
+def test_bench_skips_a_slope_over_one_size(capsys):
+    # random-graph keeps n = 4 for both sizes, so there is no slope in n
+    rc = main(["bench", "--program", "corpus:eq2_tc", "--family", "random-graph",
+               "--sizes", "4,8"])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert "slope |G| vs m:" in err and "slope |G| vs n:" not in err
 
 
 def test_rank_on_tropical_exits_3(tc_files, capsys):

@@ -4,8 +4,8 @@ import random
 import pytest
 
 import semlog
-from semlog.grounding import Grounding, ground_naive, ground_program
-from semlog.semirings import access, boolean, naturals, tropical
+from semlog.grounding import KIND_COEFF, Grounding, ground_naive, ground_program
+from semlog.semirings import access, boolean, naturals, set_semiring, tropical
 from semlog.solver import (
     OP_PLUS,
     OP_TIMES,
@@ -36,11 +36,10 @@ def tc_grounding(sr, edges):
 def test_to_two_canonical_shapes():
     g = tc_grounding(boolean(), {("a", "b"): True})
     sys = to_two_canonical(g)
-    ops = [eq[1] for eq in sys.equations]
     # x_aa, x_ba: (+) zero zero; x_bb: single product chain;
     # x_ab: one (*) for the binary monomial plus one (+) combining summands
-    assert sorted(ops) == ["*", "*", "+", "+", "+"]
-    assert sys.size == 3 * len(sys.equations) <= 4 * g.size
+    assert sorted(sys.ops) == [OP_PLUS, OP_PLUS, OP_PLUS, OP_TIMES, OP_TIMES]
+    assert sys.size == 3 * len(sys.lhs) <= 4 * g.size
 
 
 def test_single_length_one_monomial_times_one():
@@ -49,8 +48,8 @@ def test_single_length_one_monomial_times_one():
     e = g.intern_coeff("R", ("a",), True)
     g.add_monomial(x, [e])
     sys = to_two_canonical(g.finalize())
-    [(lhs, op, a, b)] = sys.equations
-    assert op == OP_TIMES and b == sys.ONE
+    [op] = sys.ops
+    assert op == OP_TIMES and sys.b == [sys.ONE]
 
 
 def test_long_monomial_becomes_chain():
@@ -59,10 +58,10 @@ def test_long_monomial_becomes_chain():
     coeffs = [g.intern_coeff(f"C{i}", ("a",), 2) for i in range(5)]
     g.add_monomial(x, coeffs)
     sys = to_two_canonical(g.finalize())
-    assert len(sys.equations) == 4
-    assert all(op == OP_TIMES for _, op, _, _ in sys.equations)
+    assert len(sys.lhs) == 4
+    assert all(op == OP_TIMES for op in sys.ops)
     values, _ = kleene_system(sys)
-    assert values[sys.node_of_atom[x]] == 2 ** 5
+    assert values[sys.ATOMS + x] == 2 ** 5
 
 
 def test_canonical_size_bound_random():
@@ -260,6 +259,88 @@ def test_rank_updates_stay_below_fixpoint():
 
         values, _ = solve_rank(sys, on_update=check)
         assert values == final
+
+
+SET3 = set_semiring(["a", "b", "c"])
+# Two non-zero coefficient values per finite-rank semiring.
+RANK_COEFFS = [
+    (boolean(), True, True),
+    (access(), "S", "C"),
+    (SET3, frozenset({"a", "b"}), frozenset({"b", "c"})),
+]
+
+
+def rank_hand_grounding(sr, c1, c2):
+    """x = c1;  y = x*x*c1*c2 + y*c2;  p = x*x;  z = z*c1;  w = 0;  u = v*c2.
+
+    A length-1 monomial alone, a monomial of length 4, x*x, two self-loops
+    (z stays at zero), an empty equation, and an operand v with no equation:
+    the grounding is not finalized.
+    """
+    g = Grounding(sr)
+    x, y, p, z, w, u, v = (g.intern_var("T", (name,)) for name in "xypzwuv")
+    a = g.intern_coeff("E", ("a",), c1)
+    b = g.intern_coeff("E", ("b",), c2)
+    g.add_monomial(x, [a])
+    g.add_monomial(y, [x, x, a, b])
+    g.add_monomial(y, [y, b])
+    g.add_monomial(p, [x, x])
+    g.add_monomial(z, [z, a])
+    g.ensure_equation(w)
+    g.add_monomial(u, [v, b])
+    return g
+
+
+def is_constant(sys, g, node):
+    atom = node - sys.ATOMS
+    return atom < 0 or (atom < len(g.kinds) and g.kinds[atom] == KIND_COEFF)
+
+
+@pytest.mark.parametrize("sr, c1, c2", RANK_COEFFS, ids=[c[0].name for c in RANK_COEFFS])
+def test_rank_hand_grounding(sr, c1, c2):
+    g = rank_hand_grounding(sr, c1, c2)
+    sys = to_two_canonical(g)
+    seeded = [
+        eq for eq in range(len(sys.lhs))
+        if is_constant(sys, g, sys.a[eq]) or is_constant(sys, g, sys.b[eq])
+    ]
+    assert sys.seeds == seeded and len(seeded) < len(sys.lhs)
+    p = g.intern_var("T", ("p",))
+    [eq_p] = [eq for eq, lhs in enumerate(sys.lhs) if lhs == sys.ATOMS + p]
+    assert sys.uses[sys.ATOMS + g.intern_var("T", ("x",))].count(eq_p) == 2
+    sol = solve_grounding(g, method="rank")
+    assert sol.stats["init_ops"] == len(seeded)
+    assert sol.stats["max_equation_visits"] <= 2 * sr.finite_rank
+    assert sol.atom_values == kleene_grounding(g.finalize()).atom_values
+    named = sol.named(g)
+    assert named["x_T_x"] == c1 and named["x_T_p"] == c1
+    assert named["x_T_y"] != sr.zero
+    assert named["x_T_z"] == named["x_T_w"] == named["x_T_u"] == named["x_T_v"] == sr.zero
+
+
+@pytest.mark.parametrize("name", list(semlog.CORPUS))
+def test_rank_set_semiring_matches_brute_force(name):
+    program = semlog.corpus_program(name)
+    rng = random.Random(f"rank-set:{name}")
+    for _ in range(12):
+        inst = random_instance(program, SET3, rng, nmax=4)
+        want = brute_force_fixpoint(program, inst)[program.target]
+        for strategy in ("naive", "auto"):
+            g, _ = ground_program(program, inst, strategy=strategy)
+            sol = solve_grounding(g, method="rank")
+            assert sol.relation(g, program.target) == want, strategy
+            assert sol.stats["max_equation_visits"] <= 2 * SET3.finite_rank, strategy
+
+
+@pytest.mark.parametrize("sr", [boolean(), tropical(), access()], ids=lambda sr: sr.name)
+@pytest.mark.parametrize("name", list(semlog.CORPUS))
+def test_kleene_program_matches_brute_force(name, sr):
+    """The two grounding-free oracles agree, so neither can drift alone."""
+    program = semlog.corpus_program(name)
+    rng = random.Random(f"oracles:{name}:{sr.name}")
+    for _ in range(4):
+        inst = random_instance(program, sr, rng, nmax=4)
+        assert kleene_program(program, inst) == brute_force_fixpoint(program, inst)
 
 
 def test_kleene_program_tc():
