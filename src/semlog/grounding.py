@@ -9,6 +9,7 @@ All strategies write into the same `Grounding` sink so rules can mix.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -49,16 +50,17 @@ class StrategyNotApplicable(GroundingError):
 class Grounding:
     """Interned ground atoms plus equations: IDB variable -> sum of monomials.
 
-    A monomial is a tuple of atom ids in rule-body order.  `size` counts
-    every coefficient/variable occurrence plus one per left-hand side; it is
-    kept up to date by `ensure_equation` and `add_monomial`, the only writers
-    of `equations`.
+    Atoms are indexed per symbol (`_index[symbol][args]` is the atom id), so
+    a lookup hashes only the argument tuple.  A monomial is a tuple of atom
+    ids in rule-body order.  `size` counts every coefficient/variable
+    occurrence plus one per left-hand side; it is kept up to date by
+    `ensure_equation` and `add_monomial`, the only writers of `equations`.
     """
 
     def __init__(self, semiring, cap: Optional[int] = None):
         self.semiring = semiring
         self.cap = cap
-        self._index: dict[tuple[str, tuple[str, ...]], int] = {}
+        self._index: dict[str, dict[tuple[str, ...], int]] = {}
         self.symbols: list[str] = []
         self.tuples: list[tuple[str, ...]] = []
         self.kinds: list[int] = []
@@ -69,11 +71,12 @@ class Grounding:
     # -- interning ---------------------------------------------------------
 
     def _intern(self, symbol: str, args: tuple[str, ...], kind: int, value=None) -> int:
-        key = (symbol, args)
-        aid = self._index.get(key)
+        index = self._index.get(symbol)
+        if index is None:
+            index = self._index[symbol] = {}
+        aid = index.get(args)
         if aid is None:
-            aid = len(self.symbols)
-            self._index[key] = aid
+            aid = index[args] = len(self.symbols)
             self.symbols.append(symbol)
             self.tuples.append(args)
             self.kinds.append(kind)
@@ -156,24 +159,24 @@ class Grounding:
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_body(i: int, asg: dict[int, str], atoms, rels, domain, callback):
+def _enumerate_body(i: int, asg: dict[int, str], atoms, rels, facts, domain, callback):
     """Backtracking enumeration of the assignments satisfying atoms[i:].
 
-    EDB atoms iterate stored facts (absent tuples annihilate the product);
-    IDB atoms range over the active domain.  `callback` sees each complete
-    assignment dict, extending `asg`.
+    EDB atoms iterate their relation's facts in `facts` (sorted once per
+    body; absent tuples annihilate the product); IDB atoms range over the
+    active domain.  `callback` sees each complete assignment dict,
+    extending `asg`.
     """
     if i == len(atoms):
         callback(asg)
         return
     atom = atoms[i]
     if not atom.is_idb:
-        rel = rels.get(atom.pred, {})
         if all(v in asg for v in atom.args):
-            if tuple(asg[v] for v in atom.args) in rel:
-                _enumerate_body(i + 1, asg, atoms, rels, domain, callback)
+            if tuple(asg[v] for v in atom.args) in rels.get(atom.pred, {}):
+                _enumerate_body(i + 1, asg, atoms, rels, facts, domain, callback)
             return
-        for fact in sorted(rel):
+        for fact in facts[atom.pred]:
             trail = []
             ok = True
             for v, c in zip(atom.args, fact):
@@ -185,7 +188,7 @@ def _enumerate_body(i: int, asg: dict[int, str], atoms, rels, domain, callback):
                     asg[v] = c
                     trail.append(v)
             if ok:
-                _enumerate_body(i + 1, asg, atoms, rels, domain, callback)
+                _enumerate_body(i + 1, asg, atoms, rels, facts, domain, callback)
             for v in trail:
                 del asg[v]
     else:
@@ -193,7 +196,7 @@ def _enumerate_body(i: int, asg: dict[int, str], atoms, rels, domain, callback):
         for combo in itertools.product(domain, repeat=len(unbound)):
             for v, c in zip(unbound, combo):
                 asg[v] = c
-            _enumerate_body(i + 1, asg, atoms, rels, domain, callback)
+            _enumerate_body(i + 1, asg, atoms, rels, facts, domain, callback)
             for v in unbound:
                 del asg[v]
 
@@ -203,6 +206,7 @@ def _ground_body_naive(
 ) -> None:
     domain = instance.active_domain
     rels = instance.relations
+    facts = {a.pred: sorted(rels.get(a.pred, {})) for a in body.atoms if not a.is_idb}
 
     def emit(asg: dict[int, str]):
         mono = []
@@ -215,7 +219,7 @@ def _ground_body_naive(
         head = g.intern_var(rule.head_pred, tuple(asg[v] for v in body.head_vars))
         g.add_monomial(head, mono)
 
-    _enumerate_body(0, {}, body.atoms, rels, domain, emit)
+    _enumerate_body(0, {}, body.atoms, rels, facts, domain, emit)
 
 
 def ground_naive(
@@ -240,27 +244,35 @@ def ground_naive(
 # ---------------------------------------------------------------------------
 
 
-def _node_assignments(node: Hyperedge, domain, relations):
-    """Yield (assignment over the bag, EDB value or None)."""
+def _picker(positions: Sequence[int]):
+    """A function taking a row to the tuple of its values at `positions`."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
+
+
+def _node_rows(node: Hyperedge, bagvars: tuple[int, ...], domain, relations):
+    """Yield (the node's values in `bagvars` order, EDB value or None).
+
+    An IDB node ranges over domain^bag; an EDB node reads its sorted facts,
+    keeping those that agree on every repeated variable.
+    """
     atom = node.atom
     if atom.is_idb:
-        bagvars = sorted(node.vertices)
-        for combo in itertools.product(domain, repeat=len(bagvars)):
-            yield dict(zip(bagvars, combo)), None
-    else:
-        rel = relations.get(atom.pred, {})
-        for fact in sorted(rel):
-            asg: dict[int, str] = {}
-            ok = True
-            for v, c in zip(atom.args, fact):
-                if v in asg:
-                    if asg[v] != c:
-                        ok = False
-                        break
-                else:
-                    asg[v] = c
-            if ok:
-                yield asg, rel[fact]
+        for row in itertools.product(domain, repeat=len(bagvars)):
+            yield row, None
+        return
+    args = atom.args
+    first = [args.index(v) for v in args]
+    checks = [(i, j) for j, i in enumerate(first) if i != j]
+    pick = None if args == bagvars else _picker([args.index(v) for v in bagvars])
+    rel = relations.get(atom.pred, {})
+    for fact in sorted(rel):
+        if all(fact[i] == fact[j] for i, j in checks):
+            yield (fact if pick is None else pick(fact)), rel[fact]
 
 
 def _collect_subtree(children: dict[int, list[int]], root: int) -> list[int]:
@@ -301,6 +313,8 @@ def _ground_tree(
     fresh IDB named ``<fresh_prefix>_e<s>_<t>`` over (bag(s) & bag(t)) | H_t.
     """
     h_sub = _subtree_head_vars(root, children, nodes, head_set)
+    intern_var, intern_coeff = g.intern_var, g.intern_coeff
+    add_monomial = g.add_monomial
     stack = [(root, head_pred, head_args)]
     while stack:
         s, pred, args = stack.pop()
@@ -311,26 +325,26 @@ def _ground_tree(
             for t in children[s]
         }
         fresh = {t: f"{fresh_prefix}_e{s}_{t}" for t in children[s]}
-        span = set(bag)
-        for e in e_st.values():
-            span |= set(e)
-        extra = tuple(sorted(span - bag))
+        bagvars = tuple(sorted(bag))
+        extra = tuple(sorted(set().union(*e_st.values()) - bag))
 
-        for base, value in _node_assignments(node, domain, relations):
-            for combo in itertools.product(domain, repeat=len(extra)):
-                asg = base if not extra else {**base, **dict(zip(extra, combo))}
-                head = g.intern_var(pred, tuple(asg[v] for v in args))
-                if atom.is_idb:
-                    own = g.intern_var(atom.pred, tuple(asg[v] for v in atom.args))
+        # Each row holds the values of bagvars + extra; every atom the
+        # node interns reads its arguments through a fixed picker.
+        pos = {v: i for i, v in enumerate(bagvars + extra)}
+        head_of = _picker([pos[v] for v in args])
+        own_pred, own_idb = atom.pred, atom.is_idb
+        own_of = _picker([pos[v] for v in atom.args])
+        kids = [(fresh[t], _picker([pos[v] for v in e_st[t]])) for t in children[s]]
+        combos = list(itertools.product(domain, repeat=len(extra)))
+        for base, value in _node_rows(node, bagvars, domain, relations):
+            for combo in combos:
+                row = base + combo
+                head = intern_var(pred, head_of(row))
+                if own_idb:
+                    own = intern_var(own_pred, own_of(row))
                 else:
-                    own = g.intern_coeff(
-                        atom.pred, tuple(asg[v] for v in atom.args), value
-                    )
-                mono = [own] + [
-                    g.intern_var(fresh[t], tuple(asg[v] for v in e_st[t]))
-                    for t in children[s]
-                ]
-                g.add_monomial(head, mono)
+                    own = intern_coeff(own_pred, own_of(row), value)
+                add_monomial(head, [own] + [intern_var(f, pick(row)) for f, pick in kids])
 
         # Depth-first pre-order, children left to right.
         stack.extend((t, fresh[t], e_st[t]) for t in reversed(children[s]))
@@ -379,43 +393,38 @@ def _eval_edb_tree(
     Bottom-up join of each node's facts with its children's messages; the
     sum over eliminated variables distributes through the products.
     """
-    plus, zero = semiring.plus_fn, semiring.zero
     bagvars = tuple(sorted(nodes[root].vertices))
-    idx = [bagvars.index(v) for v in out_vars]
+    rel = _eval_edb_node(root, nodes, children, semiring, relations)
+    out = _sum_onto(rel, bagvars, out_vars, semiring.plus_fn)
+    return {k: v for k, v in out.items() if v != semiring.zero}
+
+
+def _sum_onto(rel: dict, bagvars: tuple[int, ...], out_vars: tuple[int, ...], plus) -> dict:
+    """Sum `rel`, keyed in `bagvars` order, onto the `out_vars` columns."""
+    pick = _picker([bagvars.index(v) for v in out_vars])
     out: dict[tuple[str, ...], object] = {}
-    for key, v in _eval_edb_node(root, nodes, children, semiring, relations).items():
-        pkey = tuple(key[i] for i in idx)
+    for key, v in rel.items():
+        pkey = pick(key)
         out[pkey] = plus(out[pkey], v) if pkey in out else v
-    return {k: v for k, v in out.items() if v != zero}
+    return out
 
 
 def _eval_edb_node(
     u: int, nodes, children, semiring, relations
 ) -> dict[tuple[str, ...], object]:
     """Node u's facts over its sorted bag, joined with its children's messages."""
-    plus, times = semiring.plus_fn, semiring.times_fn
     node = nodes[u]
     if node.atom.is_idb:
         raise StrategyNotApplicable("IDB atom inside an EDB-only subtree")
     bagvars = tuple(sorted(node.vertices))
-    rel: dict[tuple[str, ...], object] = {}
-    for asg, value in _node_assignments(node, (), relations):
-        rel[tuple(asg[v] for v in bagvars)] = value
+    rel = dict(_node_rows(node, bagvars, (), relations))
+    times = semiring.times_fn
     for c in children[u]:
         crel = _eval_edb_node(c, nodes, children, semiring, relations)
-        cvars = tuple(sorted(nodes[c].vertices))
         shared = tuple(sorted(node.vertices & nodes[c].vertices))
-        idx = [cvars.index(v) for v in shared]
-        msg: dict[tuple[str, ...], object] = {}
-        for key, v in crel.items():
-            pkey = tuple(key[i] for i in idx)
-            msg[pkey] = plus(msg[pkey], v) if pkey in msg else v
-        sidx = [bagvars.index(v) for v in shared]
-        rel = {
-            key: times(v, msg[tuple(key[i] for i in sidx)])
-            for key, v in rel.items()
-            if tuple(key[i] for i in sidx) in msg
-        }
+        msg = _sum_onto(crel, tuple(sorted(nodes[c].vertices)), shared, semiring.plus_fn)
+        pick = _picker([bagvars.index(v) for v in shared])
+        rel = {key: times(v, msg[k]) for key, v in rel.items() if (k := pick(key)) in msg}
     return rel
 
 
@@ -514,44 +523,49 @@ def _ground_via_chain(
             side_rels.append(
                 (c, conn, _eval_edb_tree(c, nodes, children, conn, semiring, relations))
             )
-    path_rels: list[tuple[int, tuple[int, ...], dict, str]] = []
+    local: dict[str, dict] = {}
+    path_nodes: list[Hyperedge] = []
     for q in path[1:]:
         qvars = tuple(sorted(nodes[q].vertices))
         # q's subtree without the branch that the path continues into.
         below = {**children, q: [c for c in children[q] if c not in path]}
-        rel = _eval_edb_tree(q, nodes, below, qvars, semiring, relations)
-        path_rels.append((q, qvars, rel, f"__e_r{rule_tag}_p{q}"))
+        rel_name = f"__e_r{rule_tag}_p{q}"
+        local[rel_name] = _eval_edb_tree(q, nodes, below, qvars, semiring, relations)
+        path_nodes.append(Hyperedge(q, nodes[q].vertices, Atom(rel_name, qvars, False)))
 
-    # Chain of join-project rules along the path.
+    # Chain of join-project rules along the path, on rows qvars + extra.
+    intern_var, intern_coeff = g.intern_var, g.intern_coeff
+    add_monomial = g.add_monomial
     idb = nodes[t_node].atom
     prev_pred, prev_args = idb.pred, idb.args
     prev_keep = tuple(sorted(nodes[t_node].vertices))
-    later_bags = [nodes[q].vertices for q in path[1:]]
-    for i, (q, qvars, rel, rel_name) in enumerate(path_rels, start=1):
+    later_bags = [node.vertices for node in path_nodes]
+    for i, node in enumerate(path_nodes, start=1):
+        qvars, rel_name = node.atom.args, node.atom.pred
         later = frozenset().union(*later_bags[i:]) if i < len(later_bags) else frozenset()
-        keep = tuple(sorted({z} | (nodes[q].vertices & (later | {y}))))
+        keep = tuple(sorted({z} | (node.vertices & (later | {y}))))
         link_pred = f"__u_r{rule_tag}_chain{i}"
-        extra = tuple(sorted(set(prev_keep) - nodes[q].vertices))
-        for fact in sorted(rel):
-            base = dict(zip(qvars, fact))
-            for combo in itertools.product(domain, repeat=len(extra)):
-                asg = {**base, **dict(zip(extra, combo))}
-                mono = [g.intern_var(prev_pred, tuple(asg[v] for v in prev_args))]
-                ok = True
-                if i == 1:
-                    for sid, conn, srel in side_rels:
-                        key = tuple(asg[v] for v in conn)
-                        if key not in srel:
-                            ok = False
-                            break
-                        mono.append(
-                            g.intern_coeff(f"__e_r{rule_tag}_side{sid}", key, srel[key])
-                        )
-                if not ok:
-                    continue
-                mono.append(g.intern_coeff(rel_name, fact, rel[fact]))
-                head = g.intern_var(link_pred, tuple(asg[v] for v in keep))
-                g.add_monomial(head, mono)
+        extra = tuple(sorted(set(prev_keep) - node.vertices))
+        pos = {v: k for k, v in enumerate(qvars + extra)}
+        prev_of = _picker([pos[v] for v in prev_args])
+        head_of = _picker([pos[v] for v in keep])
+        sides = [
+            (f"__e_r{rule_tag}_side{sid}", _picker([pos[v] for v in conn]), srel)
+            for sid, conn, srel in (side_rels if i == 1 else ())
+        ]
+        combos = list(itertools.product(domain, repeat=len(extra)))
+        for fact, value in _node_rows(node, qvars, domain, local):
+            for combo in combos:
+                row = fact + combo
+                mono = [intern_var(prev_pred, prev_of(row))]
+                for side, side_of, srel in sides:
+                    key = side_of(row)
+                    if key not in srel:
+                        break
+                    mono.append(intern_coeff(side, key, srel[key]))
+                else:
+                    mono.append(intern_coeff(rel_name, fact, value))
+                    add_monomial(intern_var(link_pred, head_of(row)), mono)
         prev_pred, prev_args, prev_keep = link_pred, keep, keep
 
     # Reground the outer tree with the chain result as a leaf IDB.
@@ -654,22 +668,30 @@ def prune_unreachable(g: Grounding) -> Grounding:
     A variable is supported once some monomial has all its variable
     operands supported; unsupported variables stay at zero in the least
     fixpoint, so removing their equations (and the monomials mentioning
-    them) preserves it.
+    them) preserves it.  One worklist with Dowling-Gallier counters, as in
+    `solver.solve_absorptive`: each monomial counts its unsupported
+    variable operands, and reaching 0 supports its head.
     """
-    supported: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, monos in g.equations.items():
-            if head in supported:
-                continue
-            for mono in monos:
-                if all(
-                    g.kinds[a] == KIND_COEFF or a in supported for a in mono
-                ):
-                    supported.add(head)
-                    changed = True
-                    break
+    kinds = g.kinds
+    heads = [head for head, head_monos in g.equations.items() for _ in head_monos]
+    monos = [mono for head_monos in g.equations.values() for mono in head_monos]
+    uses: list[list[int]] = [[] for _ in kinds]  # variable -> monomial per use
+    waiting: list[int] = []  # unsupported variable operands, with multiplicity
+    for m, mono in enumerate(monos):
+        operands = [a for a in mono if kinds[a] == KIND_VAR]
+        for a in operands:
+            uses[a].append(m)
+        waiting.append(len(operands))
+    supported = [False] * len(kinds)
+    queue = [head for head, count in zip(heads, waiting) if not count]
+    for v in queue:  # a head may be queued more than once; it is taken once
+        if supported[v]:
+            continue
+        supported[v] = True
+        for m in uses[v]:
+            waiting[m] -= 1
+            if not waiting[m]:
+                queue.append(heads[m])
 
     pruned = Grounding(g.semiring)
     pruned._index = g._index
@@ -677,11 +699,9 @@ def prune_unreachable(g: Grounding) -> Grounding:
     pruned.tuples = g.tuples
     pruned.kinds = g.kinds
     pruned.values = g.values
-    for head, monos in g.equations.items():
-        if head not in supported:
-            continue
-        pruned.ensure_equation(head)
-        for m in monos:
-            if all(g.kinds[a] == KIND_COEFF or a in supported for a in m):
-                pruned.add_monomial(head, m)
+    for head, mono, count in zip(heads, monos, waiting):
+        if supported[head]:
+            pruned.ensure_equation(head)
+            if not count:
+                pruned.add_monomial(head, mono)
     return pruned

@@ -174,6 +174,18 @@ def test_cap_size_exits_4(tc_files, capsys):
     assert rc == 4 and "cap exceeded" in err
 
 
+def test_ground_cap_size_exits_4_on_the_join_tree_path(tmp_path, capsys):
+    facts = tmp_path / "edges.txt"
+    facts.write_text("E(a, b) = 1.\nE(b, c) = 2.\nE(c, a) = 3.\n")
+    argv = ["ground", "--program", "corpus:apsp", "--facts", str(facts),
+            "--semiring", "tropical"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--cap-size", "10"]) == 4
+    _, err = capsys.readouterr()
+    assert "cap exceeded" in err
+
+
 def test_divergent_naturals_exits_5(tmp_path, capsys):
     prog = tmp_path / "tc.dl"
     prog.write_text(TC)

@@ -11,6 +11,7 @@ from semlog.grounding import (
     BodyStrategy,
     CapExceeded,
     CyclicRuleError,
+    Grounding,
     ground_naive,
     ground_program,
     prune_unreachable,
@@ -118,6 +119,20 @@ def apsp_instance():
     return semlog.build_instance({"E": edges}, tropical())
 
 
+def test_cap_exceeded_on_the_join_tree_path():
+    program = semlog.corpus_program("apsp")
+    full, report = ground_program(program, apsp_instance(), strategy="auto")
+    assert [s.strategy for s in report] == ["acyclic-free-connex", "linear-arity2"]
+    # The cap fires at the first left-hand side or monomial that crosses it.
+    step = 1 + max(len(m) for monos in full.equations.values() for m in monos)
+    for cap in (1, full.size // 2, full.size - 1):
+        with pytest.raises(CapExceeded) as exc:
+            ground_program(program, apsp_instance(), strategy="auto", cap=cap)
+        assert cap == exc.value.cap < exc.value.size <= cap + step
+    g, _ = ground_program(program, apsp_instance(), strategy="auto", cap=full.size)
+    assert g.to_text() == full.to_text()
+
+
 def test_one_join_tree_per_body(monkeypatch):
     calls = []
     real = grounding.gyo_join_tree
@@ -186,6 +201,33 @@ def test_prune_preserves_target_relation():
         want = kleene_grounding(g).relation(g, program.target)
         got = kleene_grounding(pruned).relation(pruned, program.target)
         assert got == want, name
+
+
+def test_prune_long_chain_in_one_pass():
+    """x_i = x_(i-1) * x_(i-1) with the equations stored last link first, so a
+    sweep in equation order would support one link per pass."""
+    sr = boolean()
+    g = Grounding(sr)
+    n = 400
+    xs = [g.intern_var("X", (f"v{i}",)) for i in range(n)]
+    c = g.intern_coeff("C", (), True)
+    u, w = g.intern_var("U", ()), g.intern_var("W", ())
+    for i in reversed(range(1, n)):
+        g.add_monomial(xs[i], [u, c])  # u is never supported
+        g.add_monomial(xs[i], [xs[i - 1], xs[i - 1]])
+    g.add_monomial(xs[0], [c])
+    g.add_monomial(u, [w])
+    g.add_monomial(w, [u, c])
+    g.finalize()
+    pruned = prune_unreachable(g)
+    assert list(pruned.equations) == xs[:0:-1] + [xs[0]]
+    assert pruned.equations[xs[0]] == [(c,)]
+    for i in range(1, n):
+        assert pruned.equations[xs[i]] == [(xs[i - 1], xs[i - 1])]
+    assert pruned.size == recount_size(pruned) == 3 * (n - 1) + 2
+    assert kleene_grounding(pruned).relation(pruned, "X") == {
+        (f"v{i}",): True for i in range(n)
+    }
 
 
 def test_star_grounding_is_linear_in_input():
@@ -275,4 +317,56 @@ def test_corpus_matches_brute_force(name, sr):
     program = semlog.corpus_program(name)
     rng = random.Random(f"oracle:{name}:{sr.name}")
     for _ in range(20):
+        assert_matches_brute_force(program, random_instance(program, sr, rng, nmax=4))
+
+
+# Bodies with a repeated variable in an EDB atom, grounded along the join
+# tree: the equality filter of the compiled node loop must drop the facts
+# that disagree on it.  The last two are linear arity-2 bodies; the first
+# grounds by the plain recursion, the second through the chain.
+REPEATED_VARIABLE = {
+    "diagonal": "T(x) :- R(x, x).\n@target T.\n",
+    "diagonal-join": "T(x, y) :- R(x, x), S(x, y).\n@target T.\n",
+    "linear-tree": (
+        "T(x, y) :- E(x, y).\nT(x, y) :- T(x, z), E(z, z), E(z, y).\n@target T.\n"
+    ),
+    "linear-chain": (
+        "T(x, y) :- E(x, y).\n"
+        "T(x, y) :- E(x, z), T(z, w), F(w, y, y), L(w, w).\n@target T.\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("sr", [boolean(), tropical()], ids=lambda sr: sr.name)
+@pytest.mark.parametrize("name", list(REPEATED_VARIABLE))
+def test_repeated_variable_on_the_join_tree_path(name, sr):
+    program = parse_program(REPEATED_VARIABLE[name])
+    rng = random.Random(f"repeated:{name}:{sr.name}")
+    for _ in range(15):
+        inst = random_instance(program, sr, rng, nmax=4)
+        assert_matches_brute_force(program, inst)
+        if name.startswith("linear"):
+            g, report = ground_program(program, inst, strategy="auto")
+            assert report[1].strategy == "linear-arity2"
+            chained = any("_chain" in sym for sym in g.symbols)
+            assert chained == (name == "linear-chain")
+
+
+# A nullary head or atom, or a child sharing no variable with its parent,
+# gives the compiled node loop an empty argument tuple to pick.
+EMPTY_ARGUMENTS = {
+    "nullary-head": "T() :- R(x, y).\n@target T.\n",
+    "disconnected": "T(x) :- R(x, y), S(z).\n@target T.\n",
+    "linear-nullary-atom": (
+        "T(x, y) :- E(x, y).\nT(x, y) :- T(x, z), E(z, y), F().\n@target T.\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("sr", [boolean(), tropical()], ids=lambda sr: sr.name)
+@pytest.mark.parametrize("name", list(EMPTY_ARGUMENTS))
+def test_empty_argument_tuples_on_the_join_tree_path(name, sr):
+    program = parse_program(EMPTY_ARGUMENTS[name])
+    rng = random.Random(f"empty:{name}:{sr.name}")
+    for _ in range(10):
         assert_matches_brute_force(program, random_instance(program, sr, rng, nmax=4))
