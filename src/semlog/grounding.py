@@ -124,6 +124,24 @@ class Grounding:
                 self.ensure_equation(aid)
         return self
 
+    def flat_monomials(self):
+        """Dowling-Gallier counter setup: parallel `heads`/`monos`, one per
+        monomial; `uses`, variable -> monomial per occurrence; `waiting`, each
+        monomial's variable operands with multiplicity."""
+        kinds = self.kinds
+        heads = [head for head, monos in self.equations.items() for _ in monos]
+        monos = [mono for head_monos in self.equations.values() for mono in head_monos]
+        uses: list[list[int]] = [[] for _ in kinds]
+        waiting: list[int] = []
+        for m, mono in enumerate(monos):
+            count = 0
+            for a in mono:
+                if kinds[a] == KIND_VAR:
+                    uses[a].append(m)
+                    count += 1
+            waiting.append(count)
+        return heads, monos, uses, waiting
+
     # -- output ------------------------------------------------------------
 
     def to_text(self) -> str:
@@ -523,15 +541,13 @@ def _ground_via_chain(
             side_rels.append(
                 (c, conn, _eval_edb_tree(c, nodes, children, conn, semiring, relations))
             )
-    local: dict[str, dict] = {}
-    path_nodes: list[Hyperedge] = []
+    path_rels: list[tuple[int, tuple[int, ...], dict, str]] = []
     for q in path[1:]:
         qvars = tuple(sorted(nodes[q].vertices))
         # q's subtree without the branch that the path continues into.
         below = {**children, q: [c for c in children[q] if c not in path]}
-        rel_name = f"__e_r{rule_tag}_p{q}"
-        local[rel_name] = _eval_edb_tree(q, nodes, below, qvars, semiring, relations)
-        path_nodes.append(Hyperedge(q, nodes[q].vertices, Atom(rel_name, qvars, False)))
+        rel = _eval_edb_tree(q, nodes, below, qvars, semiring, relations)
+        path_rels.append((q, qvars, rel, f"__e_r{rule_tag}_p{q}"))
 
     # Chain of join-project rules along the path, on rows qvars + extra.
     intern_var, intern_coeff = g.intern_var, g.intern_coeff
@@ -539,13 +555,12 @@ def _ground_via_chain(
     idb = nodes[t_node].atom
     prev_pred, prev_args = idb.pred, idb.args
     prev_keep = tuple(sorted(nodes[t_node].vertices))
-    later_bags = [node.vertices for node in path_nodes]
-    for i, node in enumerate(path_nodes, start=1):
-        qvars, rel_name = node.atom.args, node.atom.pred
+    later_bags = [nodes[q].vertices for q in path[1:]]
+    for i, (q, qvars, rel, rel_name) in enumerate(path_rels, start=1):
         later = frozenset().union(*later_bags[i:]) if i < len(later_bags) else frozenset()
-        keep = tuple(sorted({z} | (node.vertices & (later | {y}))))
+        keep = tuple(sorted({z} | (nodes[q].vertices & (later | {y}))))
         link_pred = f"__u_r{rule_tag}_chain{i}"
-        extra = tuple(sorted(set(prev_keep) - node.vertices))
+        extra = tuple(sorted(set(prev_keep) - nodes[q].vertices))
         pos = {v: k for k, v in enumerate(qvars + extra)}
         prev_of = _picker([pos[v] for v in prev_args])
         head_of = _picker([pos[v] for v in keep])
@@ -554,7 +569,8 @@ def _ground_via_chain(
             for sid, conn, srel in (side_rels if i == 1 else ())
         ]
         combos = list(itertools.product(domain, repeat=len(extra)))
-        for fact, value in _node_rows(node, qvars, domain, local):
+        for fact in sorted(rel):
+            value = rel[fact]
             for combo in combos:
                 row = fact + combo
                 mono = [intern_var(prev_pred, prev_of(row))]
@@ -668,21 +684,12 @@ def prune_unreachable(g: Grounding) -> Grounding:
     A variable is supported once some monomial has all its variable
     operands supported; unsupported variables stay at zero in the least
     fixpoint, so removing their equations (and the monomials mentioning
-    them) preserves it.  One worklist with Dowling-Gallier counters, as in
+    them) preserves it.  One worklist over `flat_monomials`' counters, as in
     `solver.solve_absorptive`: each monomial counts its unsupported
     variable operands, and reaching 0 supports its head.
     """
-    kinds = g.kinds
-    heads = [head for head, head_monos in g.equations.items() for _ in head_monos]
-    monos = [mono for head_monos in g.equations.values() for mono in head_monos]
-    uses: list[list[int]] = [[] for _ in kinds]  # variable -> monomial per use
-    waiting: list[int] = []  # unsupported variable operands, with multiplicity
-    for m, mono in enumerate(monos):
-        operands = [a for a in mono if kinds[a] == KIND_VAR]
-        for a in operands:
-            uses[a].append(m)
-        waiting.append(len(operands))
-    supported = [False] * len(kinds)
+    heads, monos, uses, waiting = g.flat_monomials()
+    supported = [False] * len(g.kinds)
     queue = [head for head, count in zip(heads, waiting) if not count]
     for v in queue:  # a head may be queued more than once; it is taken once
         if supported[v]:

@@ -256,10 +256,7 @@ def solve_absorptive(g: Grounding) -> Solution:
     kinds = g.kinds
     values = [zero if k == KIND_VAR else v for k, v in zip(kinds, g.values)]
     frozen = [False] * len(kinds)
-    heads = [head for head, head_monos in g.equations.items() for _ in head_monos]
-    monos = [mono for head_monos in g.equations.values() for mono in head_monos]
-    uses: list[list[int]] = [[] for _ in kinds]  # variable -> monomial per use
-    waiting: list[int] = []  # unfrozen variable operands, with multiplicity
+    heads, monos, uses, waiting = g.flat_monomials()  # waiting: unfrozen operands
     heap: list[tuple[object, int]] = []
 
     def fire(m: int) -> None:
@@ -272,13 +269,7 @@ def solve_absorptive(g: Grounding) -> Solution:
             values[head] = new
             heapq.heappush(heap, (key(new), head))
 
-    for m, mono in enumerate(monos):
-        count = 0
-        for a in mono:
-            if kinds[a] == KIND_VAR:
-                uses[a].append(m)
-                count += 1
-        waiting.append(count)
+    for m, count in enumerate(waiting):
         if not count:
             fire(m)
 

@@ -1,4 +1,5 @@
-"""Pin `ground_program`'s output: sha256 of `to_text()` plus the strategy report.
+"""Pin `ground_program`'s output: sha256 of `to_text()`, the strategy report
+and the coefficient atoms' values in atom-id order.
 
 `grounding_digests.json` holds one digest per corpus program x semiring x
 random instance x strategy.  A change that alters a grounding on purpose
@@ -13,7 +14,7 @@ import random
 from pathlib import Path
 
 import semlog
-from semlog.grounding import CyclicRuleError, ground_program
+from semlog.grounding import KIND_COEFF, CyclicRuleError, ground_program
 from semlog.semirings import access, boolean, tropical
 
 from conftest import random_instance
@@ -36,7 +37,8 @@ def grounding_digests() -> dict[str, str]:
                     except CyclicRuleError:
                         text = "CyclicRuleError"
                     else:
-                        text = g.to_text() + repr(report)
+                        coeffs = [v for k, v in zip(g.kinds, g.values) if k == KIND_COEFF]
+                        text = g.to_text() + repr(report) + repr(coeffs)
                     key = f"{name}/{sr.name}/{seed}/{strategy}"
                     out[key] = hashlib.sha256(text.encode()).hexdigest()
     return out
