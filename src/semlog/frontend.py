@@ -215,13 +215,9 @@ def parse_program(text: str) -> Program:
         raise ValidationError("program has no rules")
 
     arities: dict[str, int] = {}
-    where: dict[str, tuple[int, int]] = {}
-    idb_syms = []
+    # Every head symbol is an IDB, also where a body uses it before its rule.
+    idb_syms = list(dict.fromkeys(head[0] for head, _ in raw_rules))
     for (hp, hargs, line, col), body in raw_rules:
-        if hp not in arities:
-            arities[hp] = len(hargs)
-            where[hp] = (line, col)
-            idb_syms.append(hp)
         for pred, args, aline, acol in [(hp, hargs, line, col)] + body:
             if pred in arities and arities[pred] != len(args):
                 raise ValidationError(

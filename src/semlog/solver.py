@@ -8,6 +8,10 @@ The rewrite is a set of parallel int lists with a per-node `uses` index,
 and the worklist is seeded only with the equations that have a constant
 operand.  Kleene iteration is kept both on the canonical system and
 directly on programs as independent oracles.
+
+`auto` picks by capability: boolean, access and tropical take the
+priority-queue solver, `set:` semirings (no total order key) the worklist,
+and the naturals Kleene iteration.
 """
 
 from __future__ import annotations
@@ -435,16 +439,12 @@ def kleene_program(
 
 METHODS = ("auto", "rank", "absorptive", "kleene")
 
-# Above this rank the worklist solver's 2r-visits bound stops being a win
-# and the priority-queue solver (when applicable) takes over.
-RANK_THRESHOLD = 64
-
 
 def pick_method(sr) -> str:
-    if sr.finite_rank is not None and sr.finite_rank <= RANK_THRESHOLD:
-        return "rank"
     if sr.is_absorptive and sr.is_total_order and sr.key_fn is not None:
         return "absorptive"
+    if sr.finite_rank is not None:
+        return "rank"
     return "kleene"
 
 

@@ -212,3 +212,31 @@ def test_bench_csv(capsys):
     out2, _ = capsys.readouterr()
     strip = lambda s: ["," .join(l.split(",")[:8]) for l in s.splitlines()]
     assert strip(out1) == strip(out2)
+
+
+ANDERSEN_FACTS = {
+    "boolean": "AddressOf(p,a).\nAddressOf(q,b).\nAssign(p,q).\nLoad(b,p).\nStore(q,a).\n",
+    "access": (
+        "AddressOf(p,a) = S.\nAddressOf(q,b) = C.\nAssign(p,q) = T.\n"
+        "Load(b,p) = S.\nStore(q,a) = C.\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("semiring", list(ANDERSEN_FACTS))
+def test_run_andersen_solver_choice(semiring, tmp_path, capsys):
+    """`auto` solves boolean and access without the 2-canonical rewrite."""
+    facts = tmp_path / "facts.txt"
+    facts.write_text(ANDERSEN_FACTS[semiring])
+    args = ["run", "--program", "corpus:andersen", "--facts", str(facts),
+            "--semiring", semiring]
+    answers = {}
+    for solver, canonical in (("auto", False), ("rank", True)):
+        assert main(args + ["--solver", solver]) == 0
+        out, err = capsys.readouterr()
+        stats = err.splitlines()
+        want = "absorptive" if solver == "auto" else "rank"
+        assert f"solver\t{want}" in stats
+        assert any(s.startswith("canonical_size\t") for s in stats) == canonical
+        answers[solver] = out
+    assert answers["auto"] == answers["rank"] != ""

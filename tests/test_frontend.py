@@ -222,3 +222,10 @@ def test_parse_facts_never_stores_zero(pairs):
         inst = parse_facts(lines, naturals())
     assert all(v != 0 for rel in inst.relations.values() for v in rel.values())
     assert inst.n <= 2 * inst.m
+
+
+def test_idb_used_before_its_rule():
+    program = parse_program("S(x) :- T(x, y).\nT(x, y) :- E(x, y).\n@target S.\n")
+    assert program.idb_schema == {"S": 1, "T": 2}
+    assert program.edb_schema == {"E": 2}
+    assert program.rules[0].bodies[0].atoms[0].is_idb

@@ -2,6 +2,7 @@ import gc
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semlog
 from semlog import grounding
@@ -16,7 +17,7 @@ from semlog.grounding import (
     ground_program,
     prune_unreachable,
 )
-from semlog.semirings import access, boolean, tropical
+from semlog.semirings import access, boolean, set_semiring, tropical
 from semlog.solver import applicable_methods, kleene_grounding, solve_grounding
 
 from conftest import brute_force_fixpoint, random_digraph, random_instance
@@ -370,3 +371,67 @@ def test_empty_argument_tuples_on_the_join_tree_path(name, sr):
     rng = random.Random(f"empty:{name}:{sr.name}")
     for _ in range(10):
         assert_matches_brute_force(program, random_instance(program, sr, rng, nmax=4))
+
+
+# Generated programs.  A predicate's name fixes its arity, so every draw is
+# consistent: EDBs of arity <= 3, IDBs of arity <= 2 (the linear-arity2
+# construction applies), variables drawn from a pool of four so they repeat.
+FUZZ_ARITY = {"A": 1, "E": 2, "F": 2, "R": 3, "S": 1, "T": 2}
+FUZZ_EDB = ("A", "E", "F", "R")
+FUZZ_SEMIRINGS = (boolean(), tropical(), access(), set_semiring("abc"))
+
+
+def _fuzz_body(rng, preds, size):
+    binary = [p for p in preds if FUZZ_ARITY[p] == 2]
+    shape = rng.random()
+    if shape < 0.15:  # a triangle: a cyclic body
+        return [(rng.choice(binary), args) for args in ("xy", "yz", "zx")]
+    if shape < 0.3:  # a path: with T inside, a head variable may be trapped past it
+        return [(rng.choice(binary), args) for args in ("xz", "zw", "wy")]
+    return [
+        (pred, "".join(rng.choice("xyzw") for _ in range(FUZZ_ARITY[pred])))
+        for pred in (rng.choice(preds) for _ in range(size))
+    ]
+
+
+def _fuzz_rule(head, body, rng):
+    bvars = sorted({v for _, args in body for v in args})
+    if len(bvars) < FUZZ_ARITY[head]:
+        head = "S"
+    hargs = rng.sample(bvars, FUZZ_ARITY[head])
+    atoms = ", ".join(f"{p}({', '.join(args)})" for p, args in body)
+    return head, f"{head}({', '.join(hargs)}) :- {atoms}."
+
+
+def random_program(rng):
+    """A base rule for the target over EDBs, then 1-3 rules over everything."""
+    base = _fuzz_body(rng, FUZZ_EDB, rng.randint(1, 2))
+    target, line = _fuzz_rule("T" if rng.random() < 0.7 else "S", base, rng)
+    lines = [line]
+    for _ in range(rng.randint(1, 3)):
+        body = _fuzz_body(rng, tuple(FUZZ_ARITY), rng.randint(1, 4))
+        lines.append(_fuzz_rule(rng.choice("ST"), body, rng)[1])
+    return parse_program("\n".join(lines) + f"\n@target {target}.\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_generated_programs_match_brute_force(rng):
+    program = random_program(rng)
+    for sr in FUZZ_SEMIRINGS:
+        assert_matches_brute_force(program, random_instance(program, sr, rng, nmax=3))
+
+
+def test_generated_programs_reach_every_body_strategy():
+    reached = set()
+    rng = random.Random("fuzz-strategies")
+    for _ in range(100):
+        program = random_program(rng)
+        inst = random_instance(program, boolean(), rng, nmax=3)
+        g, report = ground_program(program, inst, strategy="auto")
+        reached.update(s.strategy for s in report)
+        if any("_chain" in sym for sym in g.symbols):
+            reached.add("linear-arity2 chain")
+    assert reached == {
+        "naive", "acyclic", "acyclic-free-connex", "linear-arity2", "linear-arity2 chain"
+    }

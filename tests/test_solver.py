@@ -115,10 +115,12 @@ def test_capability_errors():
 
 
 def test_method_dispatch():
-    assert pick_method(boolean()) == "rank"
-    assert pick_method(access()) == "rank"
+    assert pick_method(boolean()) == "absorptive"
+    assert pick_method(access()) == "absorptive"
     assert pick_method(tropical()) == "absorptive"
     assert pick_method(naturals()) == "kleene"
+    assert pick_method(set_semiring("abc")) == "rank"
+    assert pick_method(set_semiring("a")) == "rank"
     assert applicable_methods(tropical()) == ["absorptive", "kleene"]
     assert applicable_methods(boolean()) == ["rank", "absorptive", "kleene"]
     assert applicable_methods(naturals()) == ["kleene"]
@@ -350,3 +352,23 @@ def test_kleene_program_tc():
     assert set(out["T"]) == warshall(edges)
     empty = kleene_program(TC, semlog.build_instance({}, boolean()))
     assert out is not empty and empty["T"] == {}
+
+
+# `auto` sends boolean and access to the counter solver.  On boolean it is
+# Dowling-Gallier Horn satisfiability: a variable is raised at most once, so
+# it is pushed once, no pop is stale and one pop is made per true atom.
+@pytest.mark.parametrize("sr", [boolean(), access()], ids=lambda sr: sr.name)
+@pytest.mark.parametrize("name", list(semlog.CORPUS))
+def test_auto_takes_the_counter_solver(name, sr):
+    program = semlog.corpus_program(name)
+    rng = random.Random(f"auto:{name}:{sr.name}")
+    for _ in range(15):
+        inst = random_instance(program, sr, rng, nmax=5)
+        for strategy in ("naive", "acyclic", "auto"):
+            g, _ = ground_program(program, inst, strategy=strategy)
+            sol = solve_grounding(g)
+            assert sol.method == "absorptive"
+            assert sol.atom_values == solve_grounding(g, method="rank").atom_values
+            assert_pops_count_nonzero(sol)
+            if sr.name == "boolean":
+                assert sol.stats["stale_skips"] == 0
