@@ -14,7 +14,7 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import CORPUS_ALL, corpus_text
@@ -73,35 +73,6 @@ class RunConfig:
     cap_size: Optional[int] = None
 
 
-@dataclass
-class StatsReport:
-    m: int
-    n: int
-    grounding_size: int
-    canonical_size: Optional[int]
-    strategies: list
-    solver: str
-    wall_time: float
-    solver_stats: dict = field(default_factory=dict)
-
-    def lines(self) -> list[str]:
-        out = [
-            f"m\t{self.m}",
-            f"n\t{self.n}",
-            f"grounding_size\t{self.grounding_size}",
-        ]
-        if self.canonical_size is not None:
-            out.append(f"canonical_size\t{self.canonical_size}")
-        for bs in self.strategies:
-            out.append(f"strategy\t{bs.rule}[{bs.body}]\t{bs.strategy}")
-        out.append(f"solver\t{self.solver}")
-        for key in ("popped", "semiring_ops", "iterations"):
-            if key in self.solver_stats:
-                out.append(f"{key}\t{self.solver_stats[key]}")
-        out.append(f"wall_time\t{self.wall_time:.4f}")
-        return out
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
@@ -131,6 +102,19 @@ def _format_atom(symbol: str, args: tuple[str, ...]) -> str:
     return f"{symbol}({','.join(args)})"
 
 
+def _stats_lines(stats: dict) -> list[str]:
+    """The TSV form of `run`'s stats record: a line per key, unset keys left out."""
+    out = []
+    for key, value in stats.items():
+        if key == "strategies":
+            out += [f"strategy\t{b['rule']}[{b['body']}]\t{b['strategy']}" for b in value]
+        elif key == "wall_time":
+            out.append(f"wall_time\t{value:.4f}")
+        elif value is not None:
+            out.append(f"{key}\t{value}")
+    return out
+
+
 def cmd_run(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     program, instance = _load_inputs(cfg)
@@ -139,17 +123,18 @@ def cmd_run(cfg: RunConfig) -> int:
     )
     sol = solve_grounding(g, method=cfg.solver, max_iters=cfg.max_iters)
     rel = sol.relation(g, program.target)
-    wall = time.perf_counter() - t0
-    stats = StatsReport(
-        m=instance.m,
-        n=instance.n,
-        grounding_size=g.size,
-        canonical_size=sol.stats.get("canonical_size"),
-        strategies=report,
-        solver=sol.method,
-        wall_time=wall,
-        solver_stats=sol.stats,
-    )
+    stats = {
+        "m": instance.m,
+        "n": instance.n,
+        "grounding_size": g.size,
+        "canonical_size": sol.stats.get("canonical_size"),
+        "strategies": [
+            {"rule": b.rule, "body": b.body, "strategy": b.strategy} for b in report
+        ],
+        "solver": sol.method,
+        **{k: sol.stats[k] for k in ("popped", "semiring_ops", "iterations") if k in sol.stats},
+        "wall_time": time.perf_counter() - t0,
+    }
     if cfg.output == "structured":
         doc = {
             "target": program.target,
@@ -157,24 +142,13 @@ def cmd_run(cfg: RunConfig) -> int:
                 _format_atom(program.target, t): instance.semiring.format_value(v)
                 for t, v in sorted(rel.items())
             },
-            "stats": {
-                "m": stats.m,
-                "n": stats.n,
-                "grounding_size": stats.grounding_size,
-                "canonical_size": stats.canonical_size,
-                "strategies": [
-                    {"rule": b.rule, "body": b.body, "strategy": b.strategy}
-                    for b in report
-                ],
-                "solver": sol.method,
-                "wall_time": wall,
-            },
+            "stats": stats,
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for t in sorted(rel):
             print(f"{_format_atom(program.target, t)}\t{instance.semiring.format_value(rel[t])}")
-        for line in stats.lines():
+        for line in _stats_lines(stats):
             print(line, file=sys.stderr)
     return EXIT_OK
 

@@ -1,9 +1,11 @@
 """Grounding a program + instance into a system of polynomial equations.
 
-Three strategies: naive enumeration over the active domain, the join-tree
-recursion for acyclic bodies (optionally rooted free-connex), and the
-specialized construction for linear bodies when every IDB has arity <= 2.
-All strategies write into the same `Grounding` sink so rules can mix.
+Two row loops: naive enumeration over the active domain for cyclic bodies,
+and the join-tree recursion (`_ground_tree`) for every acyclic one.  An
+acyclic body is rooted free-connex when it can be; otherwise a linear body
+whose IDBs all have arity <= 2 is cut at its IDB atom and each side is
+grounded by the same recursion, which keeps it within O(m * n).  All
+strategies write into the same `Grounding` sink so rules can mix.
 """
 
 from __future__ import annotations
@@ -328,7 +330,10 @@ def _ground_tree(
     """Refactor/Ground/Recurse along a rooted join tree.
 
     `nodes` is indexed by node id.  Each tree edge (s, t) introduces the
-    fresh IDB named ``<fresh_prefix>_e<s>_<t>`` over (bag(s) & bag(t)) | H_t.
+    fresh IDB named ``<fresh_prefix>_e<s>_<t>`` over (bag(s) & bag(t)) | H_t,
+    unless t is a leaf whose bag is exactly those variables: then s's
+    monomials read t's atom in place, an IDB atom as its variable and an
+    EDB atom as its fact, dropping the row when the fact is absent.
     """
     h_sub = _subtree_head_vars(root, children, nodes, head_set)
     intern_var, intern_coeff = g.intern_var, g.intern_coeff
@@ -342,30 +347,47 @@ def _ground_tree(
             t: tuple(sorted((bag & nodes[t].vertices) | h_sub[t]))
             for t in children[s]
         }
-        fresh = {t: f"{fresh_prefix}_e{s}_{t}" for t in children[s]}
         bagvars = tuple(sorted(bag))
         extra = tuple(sorted(set().union(*e_st.values()) - bag))
 
         # Each row holds the values of bagvars + extra; every atom the
-        # node interns reads its arguments through a fixed picker.
+        # node interns reads its arguments through a fixed picker.  A kid
+        # is (symbol, picker, the facts of an EDB leaf read in place or None).
         pos = {v: i for i, v in enumerate(bagvars + extra)}
         head_of = _picker([pos[v] for v in args])
         own_pred, own_idb = atom.pred, atom.is_idb
         own_of = _picker([pos[v] for v in atom.args])
-        kids = [(fresh[t], _picker([pos[v] for v in e_st[t]])) for t in children[s]]
+        kids, recurse = [], []
+        for t in children[s]:
+            child = nodes[t].atom
+            if not children[t] and len(e_st[t]) == len(nodes[t].vertices):
+                facts = None if child.is_idb else relations.get(child.pred, {})
+                kids.append((child.pred, _picker([pos[v] for v in child.args]), facts))
+            else:
+                fresh = f"{fresh_prefix}_e{s}_{t}"
+                kids.append((fresh, _picker([pos[v] for v in e_st[t]]), None))
+                recurse.append((t, fresh, e_st[t]))
         combos = list(itertools.product(domain, repeat=len(extra)))
         for base, value in _node_rows(node, bagvars, domain, relations):
             for combo in combos:
                 row = base + combo
-                head = intern_var(pred, head_of(row))
                 if own_idb:
-                    own = intern_var(own_pred, own_of(row))
+                    mono = [intern_var(own_pred, own_of(row))]
                 else:
-                    own = intern_coeff(own_pred, own_of(row), value)
-                add_monomial(head, [own] + [intern_var(f, pick(row)) for f, pick in kids])
+                    mono = [intern_coeff(own_pred, own_of(row), value)]
+                for kid, pick, facts in kids:
+                    key = pick(row)
+                    if facts is None:
+                        mono.append(intern_var(kid, key))
+                    elif key in facts:
+                        mono.append(intern_coeff(kid, key, facts[key]))
+                    else:
+                        break
+                else:
+                    add_monomial(intern_var(pred, head_of(row)), mono)
 
         # Depth-first pre-order, children left to right.
-        stack.extend((t, fresh[t], e_st[t]) for t in reversed(children[s]))
+        stack.extend(reversed(recurse))
 
 
 def ground_acyclic_rule(
@@ -398,54 +420,6 @@ def ground_acyclic_rule(
 # ---------------------------------------------------------------------------
 
 
-def _eval_edb_tree(
-    root: int,
-    nodes: Sequence[Hyperedge],
-    children: dict[int, list[int]],
-    out_vars: tuple[int, ...],
-    semiring,
-    relations,
-) -> dict[tuple[str, ...], object]:
-    """Directly evaluate an EDB-only subtree, aggregated onto `out_vars`.
-
-    Bottom-up join of each node's facts with its children's messages; the
-    sum over eliminated variables distributes through the products.
-    """
-    bagvars = tuple(sorted(nodes[root].vertices))
-    rel = _eval_edb_node(root, nodes, children, semiring, relations)
-    out = _sum_onto(rel, bagvars, out_vars, semiring.plus_fn)
-    return {k: v for k, v in out.items() if v != semiring.zero}
-
-
-def _sum_onto(rel: dict, bagvars: tuple[int, ...], out_vars: tuple[int, ...], plus) -> dict:
-    """Sum `rel`, keyed in `bagvars` order, onto the `out_vars` columns."""
-    pick = _picker([bagvars.index(v) for v in out_vars])
-    out: dict[tuple[str, ...], object] = {}
-    for key, v in rel.items():
-        pkey = pick(key)
-        out[pkey] = plus(out[pkey], v) if pkey in out else v
-    return out
-
-
-def _eval_edb_node(
-    u: int, nodes, children, semiring, relations
-) -> dict[tuple[str, ...], object]:
-    """Node u's facts over its sorted bag, joined with its children's messages."""
-    node = nodes[u]
-    if node.atom.is_idb:
-        raise StrategyNotApplicable("IDB atom inside an EDB-only subtree")
-    bagvars = tuple(sorted(node.vertices))
-    rel = dict(_node_rows(node, bagvars, (), relations))
-    times = semiring.times_fn
-    for c in children[u]:
-        crel = _eval_edb_node(c, nodes, children, semiring, relations)
-        shared = tuple(sorted(node.vertices & nodes[c].vertices))
-        msg = _sum_onto(crel, tuple(sorted(nodes[c].vertices)), shared, semiring.plus_fn)
-        pick = _picker([bagvars.index(v) for v in shared])
-        rel = {key: times(v, msg[k]) for key, v in rel.items() if (k := pick(key)) in msg}
-    return rel
-
-
 def ground_linear_acyclic2(
     program: Program,
     body: SumProdQuery,
@@ -461,10 +435,12 @@ def ground_linear_acyclic2(
     Rooted at the first node other than the IDB's that holds a head
     variable.  When every head variable in the IDB's subtree occurs in the
     IDB atom itself (always so for a leaf IDB), this is the plain join-tree
-    recursion.  Otherwise the one head variable trapped below the IDB is
-    carried along a chain of join-project rules from the IDB down to the
-    nearest node holding it, keeping the grounding within O(m * n).
-    Returns the root it grounded from.
+    recursion.  Otherwise one head variable y is trapped below the IDB,
+    which shares one variable z with its parent.  The join tree is cut
+    there: the IDB's subtree, re-rooted at the node nearest the IDB that
+    holds y, is grounded as its own body with head ``__u_r<tag>_chain(z, y)``,
+    and the rest with that atom as a leaf in the IDB's place.  Each side
+    stays within O(m * n).  Returns the root it grounded the rest from.
     """
     if len(body.idb_atoms()) > 1:
         raise StrategyNotApplicable("body is not linear")
@@ -506,104 +482,26 @@ def ground_linear_acyclic2(
         raise StrategyNotApplicable("IDB shares more than one variable upward")
     (z,) = join_vars
 
-    _ground_via_chain(
-        nodes, children, t_node, root, y, z, body, instance.active_domain,
-        instance.relations, g, head_pred, rule_tag,
+    domain, relations, prefix = instance.active_domain, instance.relations, f"__u_r{rule_tag}"
+    chain = Atom(f"{prefix}_chain", (z, y), True)
+    # The IDB's subtree, rooted at its first node holding y and cut off
+    # from the IDB's parent, grounds chain(z, y); z is the only variable it
+    # shares with the rest of the tree, and y occurs nowhere else.
+    t_y = next(u for u in _collect_subtree(children, t_node) if y in nodes[u].vertices)
+    _, sub_children, _ = tree.rooted_at(t_y)
+    sub_children[t_node] = [c for c in sub_children[t_node] if c != parent[t_node]]
+    _ground_tree(
+        t_y, nodes, sub_children, chain.pred, chain.args, chain.vars,
+        domain, relations, g, prefix,
+    )
+    # The rest of the tree, with chain(z, y) as a leaf read in place.
+    outer = list(nodes)
+    outer[t_node] = Hyperedge(t_node, chain.vars, chain)
+    _ground_tree(
+        root, outer, {**children, t_node: []}, head_pred, body.head_vars,
+        body.head_set, domain, relations, g, prefix,
     )
     return root
-
-
-def _ground_via_chain(
-    nodes, children, t_node, root, y, z, body, domain, relations, g, head_pred, rule_tag
-) -> None:
-    """Reduce the IDB-to-TOP(y) path to join-project rules of O(m*n) each."""
-    semiring = g.semiring
-
-    # Locate t_y: the node closest to t_node (within its subtree) holding y.
-    sub_ids = _collect_subtree(children, t_node)
-    depth = {t_node: 0}
-    for u in sub_ids:
-        for c in children[u]:
-            depth[c] = depth[u] + 1
-    holders = [u for u in sub_ids if y in nodes[u].vertices]
-    t_y = min(holders, key=lambda u: (depth[u], u))
-    path = [t_y]
-    par = {c: u for u in sub_ids for c in children[u]}
-    while path[-1] != t_node:
-        path.append(par[path[-1]])
-    path.reverse()  # t_node .. t_y
-
-    # Materialize side branches and path relations as local EDBs.
-    side_rels: list[tuple[int, tuple[int, ...], dict]] = []
-    for c in children[t_node]:
-        if c != path[1]:
-            conn = tuple(sorted(nodes[t_node].vertices & nodes[c].vertices))
-            side_rels.append(
-                (c, conn, _eval_edb_tree(c, nodes, children, conn, semiring, relations))
-            )
-    path_rels: list[tuple[int, tuple[int, ...], dict, str]] = []
-    for q in path[1:]:
-        qvars = tuple(sorted(nodes[q].vertices))
-        # q's subtree without the branch that the path continues into.
-        below = {**children, q: [c for c in children[q] if c not in path]}
-        rel = _eval_edb_tree(q, nodes, below, qvars, semiring, relations)
-        path_rels.append((q, qvars, rel, f"__e_r{rule_tag}_p{q}"))
-
-    # Chain of join-project rules along the path, on rows qvars + extra.
-    intern_var, intern_coeff = g.intern_var, g.intern_coeff
-    add_monomial = g.add_monomial
-    idb = nodes[t_node].atom
-    prev_pred, prev_args = idb.pred, idb.args
-    prev_keep = tuple(sorted(nodes[t_node].vertices))
-    later_bags = [nodes[q].vertices for q in path[1:]]
-    for i, (q, qvars, rel, rel_name) in enumerate(path_rels, start=1):
-        later = frozenset().union(*later_bags[i:]) if i < len(later_bags) else frozenset()
-        keep = tuple(sorted({z} | (nodes[q].vertices & (later | {y}))))
-        link_pred = f"__u_r{rule_tag}_chain{i}"
-        extra = tuple(sorted(set(prev_keep) - nodes[q].vertices))
-        pos = {v: k for k, v in enumerate(qvars + extra)}
-        prev_of = _picker([pos[v] for v in prev_args])
-        head_of = _picker([pos[v] for v in keep])
-        sides = [
-            (f"__e_r{rule_tag}_side{sid}", _picker([pos[v] for v in conn]), srel)
-            for sid, conn, srel in (side_rels if i == 1 else ())
-        ]
-        combos = list(itertools.product(domain, repeat=len(extra)))
-        for fact in sorted(rel):
-            value = rel[fact]
-            for combo in combos:
-                row = fact + combo
-                mono = [intern_var(prev_pred, prev_of(row))]
-                for side, side_of, srel in sides:
-                    key = side_of(row)
-                    if key not in srel:
-                        break
-                    mono.append(intern_coeff(side, key, srel[key]))
-                else:
-                    mono.append(intern_coeff(rel_name, fact, value))
-                    add_monomial(intern_var(link_pred, head_of(row)), mono)
-        prev_pred, prev_args, prev_keep = link_pred, keep, keep
-
-    # Reground the outer tree with the chain result as a leaf IDB.
-    pruned = list(nodes)
-    pruned_children = {k: list(v) for k, v in children.items()}
-    for u in _collect_subtree(children, t_node):
-        pruned_children[u] = []
-    pruned[t_node] = Hyperedge(
-        t_node, frozenset(prev_keep), Atom(prev_pred, prev_keep, True)
-    )
-    _ground_tree(
-        root,
-        pruned,
-        pruned_children,
-        head_pred,
-        body.head_vars,
-        body.head_set,
-        domain,
-        relations,
-        g,
-        f"__u_r{rule_tag}",
-    )
 
 
 # ---------------------------------------------------------------------------

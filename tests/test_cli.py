@@ -46,6 +46,42 @@ def test_run_structured(tc_files, capsys):
     assert doc["stats"]["solver"] == "absorptive"
 
 
+def _tsv_stats(err):
+    """The stats lines on stderr as {key: value}, with the strategy lines as a list."""
+    stats = {"strategies": []}
+    for line in err.splitlines():
+        key, *values = line.split("\t")
+        if key == "strategy":
+            stats["strategies"].append(values)
+        else:
+            (stats[key],) = values
+    return stats
+
+
+@pytest.mark.parametrize(
+    "semiring, facts, solver",
+    [("tropical", "R(a,b) = 1.\nR(b,c) = 2.\n", "absorptive"),
+     ("tropical", "R(a,b) = 1.\nR(b,c) = 2.\n", "kleene"),
+     ("boolean", "R(a,b).\nR(b,c).\n", "rank")],
+    ids=["absorptive", "kleene", "rank"],
+)
+def test_run_structured_stats_equal_the_tsv(tmp_path, semiring, facts, solver, capsys):
+    (tmp_path / "tc.dl").write_text(TC)
+    (tmp_path / "facts.txt").write_text(facts)
+    args = ["run", "--program", str(tmp_path / "tc.dl"), "--facts",
+            str(tmp_path / "facts.txt"), "--semiring", semiring, "--solver", solver]
+    assert main(args) == 0
+    tsv = _tsv_stats(capsys.readouterr().err)
+    assert main(args + ["--output", "structured"]) == 0
+    record = json.loads(capsys.readouterr().out)["stats"]
+    assert tsv.pop("strategies") == [
+        [f"{b['rule']}[{b['body']}]", b["strategy"]] for b in record.pop("strategies")
+    ]
+    del tsv["wall_time"], record["wall_time"]  # two runs, two timings
+    assert tsv == {k: str(v) for k, v in record.items() if v is not None}
+    assert {"popped", "iterations", "semiring_ops"} & set(record)
+
+
 def test_run_corpus_program(capsys):
     rc = main(["run", "--program", "corpus:eq2_tc", "--semiring", "boolean",
                "--facts", "/dev/null"])

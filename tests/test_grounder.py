@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import semlog
 from semlog import grounding
-from semlog.cli import build_bench_instance
+from semlog.cli import build_bench_instance, loglog_slope
 from semlog.frontend import parse_program
 from semlog.grounding import (
     BodyStrategy,
@@ -338,19 +338,85 @@ REPEATED_VARIABLE = {
 }
 
 
+@pytest.fixture
+def tree_heads(monkeypatch):
+    """The head symbol of every `_ground_tree` call.  The trapped
+    linear-arity2 case is the one that grounds a `__u_r<tag>_chain` head."""
+    heads = []
+    real = grounding._ground_tree
+
+    def recorded(root, nodes, children, head_pred, *rest):
+        heads.append(head_pred)
+        real(root, nodes, children, head_pred, *rest)
+
+    monkeypatch.setattr(grounding, "_ground_tree", recorded)
+    return heads
+
+
+def grounds_trapped(program, inst, tree_heads):
+    """Ground with `auto`: (grounding, report, whether a body took the trapped case)."""
+    tree_heads.clear()
+    g, report = ground_program(program, inst, strategy="auto")
+    return g, report, any(h.endswith("_chain") for h in tree_heads)
+
+
 @pytest.mark.parametrize("sr", [boolean(), tropical()], ids=lambda sr: sr.name)
 @pytest.mark.parametrize("name", list(REPEATED_VARIABLE))
-def test_repeated_variable_on_the_join_tree_path(name, sr):
+def test_repeated_variable_on_the_join_tree_path(name, sr, tree_heads):
     program = parse_program(REPEATED_VARIABLE[name])
     rng = random.Random(f"repeated:{name}:{sr.name}")
     for _ in range(15):
         inst = random_instance(program, sr, rng, nmax=4)
         assert_matches_brute_force(program, inst)
         if name.startswith("linear"):
-            g, report = ground_program(program, inst, strategy="auto")
+            _, report, trapped = grounds_trapped(program, inst, tree_heads)
             assert report[1].strategy == "linear-arity2"
-            chained = any("_chain" in sym for sym in g.symbols)
-            assert chained == (name == "linear-chain")
+            assert trapped == (name == "linear-chain")
+
+
+@pytest.mark.parametrize("sr", [tropical(), boolean(), access()], ids=lambda sr: sr.name)
+def test_no_equation_copies_a_leaf(sr):
+    """A leaf whose bag is its edge variables is read in place: no fresh
+    equation is a single atom over the head's own arguments."""
+    for name in semlog.CORPUS:
+        program = semlog.corpus_program(name)
+        for seed in range(3):
+            inst = random_instance(program, sr, random.Random(f"copy:{name}:{sr.name}:{seed}"))
+            for strategy in ("acyclic", "auto"):
+                try:
+                    g, _ = ground_program(program, inst, strategy=strategy)
+                except CyclicRuleError:
+                    continue
+                for head, monos in g.equations.items():
+                    if g.symbols[head].startswith("__u_") and len(monos) == 1:
+                        (mono,) = monos
+                        copy = len(mono) == 1 and g.tuples[mono[0]] == g.tuples[head]
+                        assert not copy, (name, strategy, g.atom_name(head))
+
+
+def test_absent_edb_leaf_fact_yields_no_monomial():
+    # S(y) is a leaf of R(x, y), read in place: R(a, c) and R(d, c) find no S(c).
+    program = parse_program("T(x) :- R(x, y), S(y).\n@target T.\n")
+    inst = semlog.build_instance(
+        {"R": {("a", "b"): True, ("a", "c"): True, ("d", "c"): True},
+         "S": {("b",): True}}, boolean()
+    )
+    g, _ = ground_program(program, inst, strategy="auto")
+    assert g.to_record()["equations"] == {"x_T_a": [["e_R_a_b", "e_S_b"]]}
+
+
+def test_trapped_case_grounds_within_m_times_n(tree_heads):
+    """same_generation's recursive body traps y below SG(a, b): |G| grows as m*n."""
+    program = semlog.corpus_program("same_generation")
+    xs, ys = [], []
+    for size in (128, 256, 512, 1024):
+        rng = random.Random(f"sg:{size}")
+        inst = build_bench_instance(program, "random-graph", size, tropical(), rng)
+        g, report, trapped = grounds_trapped(program, inst, tree_heads)
+        assert report[1].strategy == "linear-arity2" and trapped
+        xs.append(inst.m * inst.n)
+        ys.append(g.size)
+    assert 0.9 <= loglog_slope(xs, ys) <= 1.1
 
 
 # A nullary head or atom, or a child sharing no variable with its parent,
@@ -374,10 +440,11 @@ def test_empty_argument_tuples_on_the_join_tree_path(name, sr):
 
 
 # Generated programs.  A predicate's name fixes its arity, so every draw is
-# consistent: EDBs of arity <= 3, IDBs of arity <= 2 (the linear-arity2
-# construction applies), variables drawn from a pool of four so they repeat.
-FUZZ_ARITY = {"A": 1, "E": 2, "F": 2, "R": 3, "S": 1, "T": 2}
-FUZZ_EDB = ("A", "E", "F", "R")
+# consistent: EDBs of arity <= 3 (N is nullary), IDBs of arity <= 2 (the
+# linear-arity2 construction applies), variables drawn from a pool of four
+# so they repeat.
+FUZZ_ARITY = {"A": 1, "E": 2, "F": 2, "N": 0, "R": 3, "S": 1, "T": 2}
+FUZZ_EDB = ("A", "E", "F", "N", "R")
 FUZZ_SEMIRINGS = (boolean(), tropical(), access(), set_semiring("abc"))
 
 
@@ -394,23 +461,49 @@ def _fuzz_body(rng, preds, size):
     ]
 
 
-def _fuzz_rule(head, body, rng):
+def _fuzz_trapped_body(rng):
+    """T inside a path x .. y of 1-4 EDB atoms, with side atoms hanging off
+    the path variables: with x and y in the head, y is trapped past T."""
+    path = ["x", *"pqrs"[: rng.randint(1, 4)], "y"]
+    at = rng.randrange(len(path) - 1)
+    body = [("T" if i == at else rng.choice("EF"), path[i] + path[i + 1])
+            for i in range(len(path) - 1)]
+    for private in "uv"[: rng.randint(0, 2)]:
+        v = rng.choice(path)
+        body.append(rng.choice([
+            ("A", v),
+            ("N", ""),
+            (rng.choice("EF"), rng.choice([v + private, private + v])),
+            ("R", rng.choice([v + v + private, v + private + private])),
+        ]))
+    return body
+
+
+def _fuzz_rule(head, body, rng, pool=None):
+    """The rule `head(...) :- body`, its head variables drawn from `pool`
+    (default: the body's variables)."""
+    if not any(args for _, args in body):  # only nullary atoms bind nothing
+        body = body + [("A", "x")]
     bvars = sorted({v for _, args in body for v in args})
     if len(bvars) < FUZZ_ARITY[head]:
         head = "S"
-    hargs = rng.sample(bvars, FUZZ_ARITY[head])
+    hargs = rng.sample(pool or bvars, FUZZ_ARITY[head])
     atoms = ", ".join(f"{p}({', '.join(args)})" for p, args in body)
     return head, f"{head}({', '.join(hargs)}) :- {atoms}."
 
 
 def random_program(rng):
-    """A base rule for the target over EDBs, then 1-3 rules over everything."""
+    """A base rule for the target over EDBs, then 1-3 rules over everything;
+    a quarter of those put T inside a path between two head variables."""
     base = _fuzz_body(rng, FUZZ_EDB, rng.randint(1, 2))
     target, line = _fuzz_rule("T" if rng.random() < 0.7 else "S", base, rng)
     lines = [line]
     for _ in range(rng.randint(1, 3)):
-        body = _fuzz_body(rng, tuple(FUZZ_ARITY), rng.randint(1, 4))
-        lines.append(_fuzz_rule(rng.choice("ST"), body, rng)[1])
+        if rng.random() < 0.25:
+            lines.append(_fuzz_rule(rng.choice("ST"), _fuzz_trapped_body(rng), rng, "xy")[1])
+        else:
+            body = _fuzz_body(rng, tuple(FUZZ_ARITY), rng.randint(1, 4))
+            lines.append(_fuzz_rule(rng.choice("ST"), body, rng)[1])
     return parse_program("\n".join(lines) + f"\n@target {target}.\n")
 
 
@@ -422,15 +515,15 @@ def test_generated_programs_match_brute_force(rng):
         assert_matches_brute_force(program, random_instance(program, sr, rng, nmax=3))
 
 
-def test_generated_programs_reach_every_body_strategy():
+def test_generated_programs_reach_every_body_strategy(tree_heads):
     reached = set()
     rng = random.Random("fuzz-strategies")
     for _ in range(100):
         program = random_program(rng)
         inst = random_instance(program, boolean(), rng, nmax=3)
-        g, report = ground_program(program, inst, strategy="auto")
+        _, report, trapped = grounds_trapped(program, inst, tree_heads)
         reached.update(s.strategy for s in report)
-        if any("_chain" in sym for sym in g.symbols):
+        if trapped:
             reached.add("linear-arity2 chain")
     assert reached == {
         "naive", "acyclic", "acyclic-free-connex", "linear-arity2", "linear-arity2 chain"
