@@ -1,8 +1,10 @@
 """Pin `ground_program`'s output: sha256 of `to_text()`, the strategy report
 and the coefficient atoms' values in atom-id order.
 
-`grounding_digests.json` holds one digest per corpus program x semiring x
-random instance x strategy.  A change that alters a grounding on purpose
+`grounding_digests.json` holds one digest per program x semiring x random
+instance x strategy.  The programs are the corpus plus `CYCLIC`, whose
+bodies ground naively under `auto` and raise `CyclicRuleError` under
+`acyclic`.  A change that alters a grounding on purpose
 regenerates the file, says so in CHANGES.md, and runs
 
     PYTHONPATH=src python tests/test_grounding_digests.py
@@ -14,6 +16,7 @@ import random
 from pathlib import Path
 
 import semlog
+from semlog.frontend import parse_program
 from semlog.grounding import KIND_COEFF, CyclicRuleError, ground_program
 from semlog.semirings import access, boolean, tropical
 
@@ -22,11 +25,27 @@ from conftest import random_instance
 DIGESTS = Path(__file__).with_name("grounding_digests.json")
 SEEDS = range(3)
 
+# Kept out of `semlog.CORPUS`: every corpus program must ground under
+# `acyclic`, and these raise `CyclicRuleError` there.
+CYCLIC = {
+    "triangle": "T(x, z) :- R(x, y), S(y, z), U(z, x).\n@target T.\n",
+    "cyclic-idb": (
+        "T(x, y) :- E(x, y).\n"
+        "T(x, y) :- R(x, x, y), E(y, z), T(z, x).\n@target T.\n"
+    ),
+}
+
+
+def programs():
+    for name in semlog.CORPUS:
+        yield name, semlog.corpus_program(name)
+    for name, text in CYCLIC.items():
+        yield name, parse_program(text)
+
 
 def grounding_digests() -> dict[str, str]:
     out = {}
-    for name in semlog.CORPUS:
-        program = semlog.corpus_program(name)
+    for name, program in programs():
         for sr in (tropical(), boolean(), access()):
             for seed in SEEDS:
                 rng = random.Random(f"digest:{name}:{sr.name}:{seed}")
