@@ -169,10 +169,10 @@ def cmd_ground(cfg: RunConfig, explain: bool) -> int:
                     chosen = next(
                         b for b in report if b.rule == rule.head_pred and b.body == bi
                     )
-                    root = chosen.root if chosen.root is not None else 0
                     print(f"%   strategy {chosen.strategy}")
-                    for line in dump_tree(tree, root).splitlines():
-                        print(f"%   {line}")
+                    if chosen.root is not None:
+                        for line in dump_tree(tree, chosen.root).splitlines():
+                            print(f"%   {line}")
     if cfg.output == "structured":
         print(json.dumps(g.to_record(), indent=2, sort_keys=True))
     else:

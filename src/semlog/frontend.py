@@ -219,6 +219,11 @@ def parse_program(text: str) -> Program:
     idb_syms = list(dict.fromkeys(head[0] for head, _ in raw_rules))
     for (hp, hargs, line, col), body in raw_rules:
         for pred, args, aline, acol in [(hp, hargs, line, col)] + body:
+            if pred.startswith("__"):
+                raise ValidationError(
+                    f"{aline}:{acol}: predicate {pred}: names starting with __ "
+                    "are reserved for the grounder's fresh predicates"
+                )
             if pred in arities and arities[pred] != len(args):
                 raise ValidationError(
                     f"{aline}:{acol}: arity mismatch for {pred}: "

@@ -1,7 +1,9 @@
 """Grounding a program + instance into a system of polynomial equations.
 
-Two row loops: naive enumeration over the active domain for cyclic bodies,
-and the join-tree recursion (`_ground_tree`) for every acyclic one.  An
+One row loop, `_emit`, turns rows of variable values into monomials.  A
+cyclic body (or every body, under `naive`) gets its rows from the indexed
+left-to-right join of all its atoms; an acyclic body is grounded along a
+join tree (`_ground_tree`), each node joining only its own atom.  An
 acyclic body is rooted free-connex when it can be; otherwise a linear body
 whose IDBs all have arity <= 2 is cut at its IDB atom and each side is
 grounded by the same recursion, which keeps it within O(m * n).  All
@@ -83,8 +85,6 @@ class Grounding:
             self.tuples.append(args)
             self.kinds.append(kind)
             self.values.append(value)
-        elif self.kinds[aid] != kind:
-            raise GroundingError(f"atom {symbol}{args} interned with both kinds")
         return aid
 
     def intern_var(self, symbol: str, args: tuple[str, ...]) -> int:
@@ -175,71 +175,105 @@ class Grounding:
 
 
 # ---------------------------------------------------------------------------
-# Naive grounding
+# Rows and monomials
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_body(i: int, asg: dict[int, str], atoms, rels, facts, domain, callback):
-    """Backtracking enumeration of the assignments satisfying atoms[i:].
+def _picker(positions: Sequence[int]):
+    """A function taking a row to the tuple of its values at `positions`."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
 
-    EDB atoms iterate their relation's facts in `facts` (sorted once per
-    body; absent tuples annihilate the product); IDB atoms range over the
-    active domain.  `callback` sees each complete assignment dict,
-    extending `asg`.
+
+def _join_rows(atoms: Sequence[Atom], domain, relations):
+    """The rows of the join of `atoms`, left to right, and the variable at
+    each row position (in the order the atoms first bind them).
+
+    An EDB atom extends each row through an index of its sorted facts keyed
+    on the variables already bound; a fact that disagrees on a repeated
+    variable is dropped when the index is built.  An IDB atom extends each
+    row by every domain value of its unbound variables, sorted.
     """
-    if i == len(atoms):
-        callback(asg)
-        return
-    atom = atoms[i]
-    if not atom.is_idb:
-        if all(v in asg for v in atom.args):
-            if tuple(asg[v] for v in atom.args) in rels.get(atom.pred, {}):
-                _enumerate_body(i + 1, asg, atoms, rels, facts, domain, callback)
-            return
-        for fact in facts[atom.pred]:
-            trail = []
-            ok = True
-            for v, c in zip(atom.args, fact):
-                if v in asg:
-                    if asg[v] != c:
-                        ok = False
-                        break
+    rows: list[tuple] = [()]
+    order: list[int] = []
+    for atom in atoms:
+        pos = {v: i for i, v in enumerate(order)}
+        if atom.is_idb:
+            new = sorted({v for v in atom.args if v not in pos})
+            ext = list(itertools.product(domain, repeat=len(new)))
+            rows = [row + e for row in rows for e in ext]
+            order.extend(new)
+            continue
+        args = atom.args
+        first = [args.index(v) for v in args]
+        checks = [(i, j) for j, i in enumerate(first) if i != j]
+        facts = sorted(relations.get(atom.pred, {}))
+        if checks:
+            facts = [f for f in facts if all(f[i] == f[j] for i, j in checks)]
+        bound = [i for j, i in enumerate(first) if i == j and args[i] in pos]
+        new = [i for j, i in enumerate(first) if i == j and args[i] not in pos]
+        if not bound and len(new) == len(args):
+            rows = [row + f for row in rows for f in facts]
+        else:
+            key_of, new_of = _picker(bound), _picker(new)
+            index: dict[tuple, list[tuple]] = {}
+            for f in facts:
+                index.setdefault(key_of(f), []).append(new_of(f))
+            row_key = _picker([pos[args[i]] for i in bound])
+            rows = [row + e for row in rows for e in index.get(row_key(row), ())]
+        order.extend(args[i] for i in new)
+    return rows, order
+
+
+def _emit(g: Grounding, rows, combos, factors, head_pred: str, head_of) -> None:
+    """Add one monomial per row + combo to the equation of its head atom.
+
+    `factors` are the monomial's atoms in order, each (symbol, picker, the
+    facts of an EDB atom or None for an IDB atom); a row whose EDB fact is
+    absent yields no monomial.
+    """
+    intern_var, intern_coeff = g.intern_var, g.intern_coeff
+    add_monomial = g.add_monomial
+    for base in rows:
+        for combo in combos:
+            row = base + combo
+            mono = []
+            for pred, pick, facts in factors:
+                key = pick(row)
+                if facts is None:
+                    mono.append(intern_var(pred, key))
+                elif key in facts:
+                    mono.append(intern_coeff(pred, key, facts[key]))
                 else:
-                    asg[v] = c
-                    trail.append(v)
-            if ok:
-                _enumerate_body(i + 1, asg, atoms, rels, facts, domain, callback)
-            for v in trail:
-                del asg[v]
-    else:
-        unbound = sorted({v for v in atom.args if v not in asg})
-        for combo in itertools.product(domain, repeat=len(unbound)):
-            for v, c in zip(unbound, combo):
-                asg[v] = c
-            _enumerate_body(i + 1, asg, atoms, rels, facts, domain, callback)
-            for v in unbound:
-                del asg[v]
+                    break
+            else:
+                add_monomial(intern_var(head_pred, head_of(row)), mono)
+
+
+def _factor(atom: Atom, pos: dict[int, int], relations):
+    """The `_emit` factor reading `atom` from rows laid out by `pos`."""
+    facts = None if atom.is_idb else relations.get(atom.pred, {})
+    return atom.pred, _picker([pos[v] for v in atom.args]), facts
+
+
+# ---------------------------------------------------------------------------
+# Naive grounding
+# ---------------------------------------------------------------------------
 
 
 def _ground_body_naive(
     rule: Rule, body: SumProdQuery, instance: Instance, g: Grounding
 ) -> None:
-    domain = instance.active_domain
-    rels = instance.relations
-    facts = {a.pred: sorted(rels.get(a.pred, {})) for a in body.atoms if not a.is_idb}
-
-    def emit(asg: dict[int, str]):
-        mono = []
-        for atom in body.atoms:
-            t = tuple(asg[v] for v in atom.args)
-            if atom.is_idb:
-                mono.append(g.intern_var(atom.pred, t))
-            else:
-                mono.append(g.intern_coeff(atom.pred, t, rels[atom.pred][t]))
-        head = g.intern_var(rule.head_pred, tuple(asg[v] for v in body.head_vars))
-        g.add_monomial(head, mono)
-
-    _enumerate_body(0, {}, body.atoms, rels, facts, domain, emit)
+    relations = instance.relations
+    rows, order = _join_rows(body.atoms, instance.active_domain, relations)
+    pos = {v: i for i, v in enumerate(order)}
+    factors = [_factor(atom, pos, relations) for atom in body.atoms]
+    head_of = _picker([pos[v] for v in body.head_vars])
+    _emit(g, rows, [()], factors, rule.head_pred, head_of)
 
 
 def ground_naive(
@@ -262,37 +296,6 @@ def ground_naive(
 # ---------------------------------------------------------------------------
 # Acyclic grounding (join-tree recursion)
 # ---------------------------------------------------------------------------
-
-
-def _picker(positions: Sequence[int]):
-    """A function taking a row to the tuple of its values at `positions`."""
-    if len(positions) == 1:
-        (i,) = positions
-        return lambda row: (row[i],)
-    if not positions:
-        return lambda row: ()
-    return operator.itemgetter(*positions)
-
-
-def _node_rows(node: Hyperedge, bagvars: tuple[int, ...], domain, relations):
-    """Yield (the node's values in `bagvars` order, EDB value or None).
-
-    An IDB node ranges over domain^bag; an EDB node reads its sorted facts,
-    keeping those that agree on every repeated variable.
-    """
-    atom = node.atom
-    if atom.is_idb:
-        for row in itertools.product(domain, repeat=len(bagvars)):
-            yield row, None
-        return
-    args = atom.args
-    first = [args.index(v) for v in args]
-    checks = [(i, j) for j, i in enumerate(first) if i != j]
-    pick = None if args == bagvars else _picker([args.index(v) for v in bagvars])
-    rel = relations.get(atom.pred, {})
-    for fact in sorted(rel):
-        if all(fact[i] == fact[j] for i, j in checks):
-            yield (fact if pick is None else pick(fact)), rel[fact]
 
 
 def _collect_subtree(children: dict[int, list[int]], root: int) -> list[int]:
@@ -336,8 +339,6 @@ def _ground_tree(
     EDB atom as its fact, dropping the row when the fact is absent.
     """
     h_sub = _subtree_head_vars(root, children, nodes, head_set)
-    intern_var, intern_coeff = g.intern_var, g.intern_coeff
-    add_monomial = g.add_monomial
     stack = [(root, head_pred, head_args)]
     while stack:
         s, pred, args = stack.pop()
@@ -347,44 +348,23 @@ def _ground_tree(
             t: tuple(sorted((bag & nodes[t].vertices) | h_sub[t]))
             for t in children[s]
         }
-        bagvars = tuple(sorted(bag))
-        extra = tuple(sorted(set().union(*e_st.values()) - bag))
+        rows, order = _join_rows([atom], domain, relations)
+        extra = sorted(set().union(*e_st.values()) - bag)
 
-        # Each row holds the values of bagvars + extra; every atom the
-        # node interns reads its arguments through a fixed picker.  A kid
-        # is (symbol, picker, the facts of an EDB leaf read in place or None).
-        pos = {v: i for i, v in enumerate(bagvars + extra)}
-        head_of = _picker([pos[v] for v in args])
-        own_pred, own_idb = atom.pred, atom.is_idb
-        own_of = _picker([pos[v] for v in atom.args])
-        kids, recurse = [], []
+        # Each row holds the values of order + extra.  A factor is the
+        # node's own atom, then per child either its leaf atom read in place
+        # or the fresh IDB over the edge's variables.
+        pos = {v: i for i, v in enumerate(order + extra)}
+        factors, recurse = [_factor(atom, pos, relations)], []
         for t in children[s]:
-            child = nodes[t].atom
             if not children[t] and len(e_st[t]) == len(nodes[t].vertices):
-                facts = None if child.is_idb else relations.get(child.pred, {})
-                kids.append((child.pred, _picker([pos[v] for v in child.args]), facts))
+                factors.append(_factor(nodes[t].atom, pos, relations))
             else:
                 fresh = f"{fresh_prefix}_e{s}_{t}"
-                kids.append((fresh, _picker([pos[v] for v in e_st[t]]), None))
+                factors.append((fresh, _picker([pos[v] for v in e_st[t]]), None))
                 recurse.append((t, fresh, e_st[t]))
         combos = list(itertools.product(domain, repeat=len(extra)))
-        for base, value in _node_rows(node, bagvars, domain, relations):
-            for combo in combos:
-                row = base + combo
-                if own_idb:
-                    mono = [intern_var(own_pred, own_of(row))]
-                else:
-                    mono = [intern_coeff(own_pred, own_of(row), value)]
-                for kid, pick, facts in kids:
-                    key = pick(row)
-                    if facts is None:
-                        mono.append(intern_var(kid, key))
-                    elif key in facts:
-                        mono.append(intern_coeff(kid, key, facts[key]))
-                    else:
-                        break
-                else:
-                    add_monomial(intern_var(pred, head_of(row)), mono)
+        _emit(g, rows, combos, factors, pred, _picker([pos[v] for v in args]))
 
         # Depth-first pre-order, children left to right.
         stack.extend(reversed(recurse))
@@ -442,44 +422,40 @@ def ground_linear_acyclic2(
     and the rest with that atom as a leaf in the IDB's place.  Each side
     stays within O(m * n).  Returns the root it grounded the rest from.
     """
-    if len(body.idb_atoms()) > 1:
-        raise StrategyNotApplicable("body is not linear")
+    if len(body.idb_atoms()) != 1:
+        raise StrategyNotApplicable("body does not have exactly one IDB atom")
     if program.arity_bound > 2:
         raise StrategyNotApplicable("an IDB has arity > 2")
 
-    if not body.idb_atoms():
-        root = choose_root(tree, body.head_set)
-        ground_acyclic_rule(body, tree, root, instance, g, head_pred, rule_tag)
-        return root
-
+    # Some node other than the IDB's holds a head variable: were they all
+    # in the IDB atom alone, rooting there would be free-connex.
     nodes = tree.nodes
     t_node = next(n.id for n in nodes if n.atom.is_idb)
-    candidates = [
+    root = next(
         n.id
         for n in nodes
         if n.id != t_node and (not body.head_set or n.vertices & body.head_set)
-    ]
-    if not candidates:
-        raise StrategyNotApplicable("head variables occur only in the IDB atom")
-    root = candidates[0]
+    )
     parent, children, _ = tree.rooted_at(root)
 
+    # At most one head variable is trapped: the head has at most two, and by
+    # running intersection one the root holds is in the IDB's bag if it
+    # occurs below it.
     h_sub = _subtree_head_vars(root, children, nodes, body.head_set)
     t_bag = nodes[t_node].vertices
     trapped = sorted(h_sub[t_node] - t_bag)
-
     if not trapped:
         # Nothing below the IDB (a leaf IDB has no subtree) needs carrying
         # past it: the plain join-tree recursion, unconditionally correct.
         ground_acyclic_rule(body, tree, root, instance, g, head_pred, rule_tag)
         return root
-    if len(trapped) > 1:
-        raise StrategyNotApplicable("more than one head variable below the IDB")
-    y = trapped[0]
+    (y,) = trapped
 
     join_vars = t_bag & nodes[parent[t_node]].vertices
     if len(join_vars) != 1:
-        raise StrategyNotApplicable("IDB shares more than one variable upward")
+        raise StrategyNotApplicable(
+            f"IDB shares {len(join_vars)} variables upward, not one"
+        )
     (z,) = join_vars
 
     domain, relations, prefix = instance.active_domain, instance.relations, f"__u_r{rule_tag}"

@@ -107,6 +107,13 @@ def test_ground_explain_shows_the_grounded_root(tc_files, capsys):
     assert rc == 0
     assert ("% rule T body 1:\n%   strategy linear-arity2\n"
             "%   R(v2,v1)\n%     T(v0,v2)\n") in out
+    # A body grounded naively has no root: no join tree is printed for it.
+    rc = main(["ground", "--program", prog, "--facts", facts,
+               "--semiring", "tropical", "--strategy", "naive", "--explain"])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert out.startswith("% rule T body 0:\n%   strategy naive\n"
+                          "% rule T body 1:\n%   strategy naive\nx_T_")
 
 
 def test_check_agrees(tc_files, capsys):
@@ -140,6 +147,15 @@ def test_bad_program_exits_2(tmp_path, capsys):
     rc = main(["run", "--program", str(bad), "--facts", "/dev/null"])
     _, err = capsys.readouterr()
     assert rc == 2 and "error" in err
+
+
+def test_reserved_predicate_exits_2(tmp_path, capsys):
+    prog = tmp_path / "andersen.dl"
+    prog.write_text(semlog.corpus_text("andersen")
+                    + "__u_r0b2_e0_1(v0, v1) :- AddressOf(v0, v1).\n")
+    rc = main(["run", "--program", str(prog), "--facts", "/dev/null"])
+    _, err = capsys.readouterr()
+    assert rc == 2 and "reserved" in err
 
 
 def test_missing_file_exits_2(capsys):

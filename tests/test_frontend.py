@@ -73,6 +73,17 @@ def test_repeated_head_variable():
         parse_program("T(x, x) :- R(x, x).\n@target T.")
 
 
+@pytest.mark.parametrize("text", [
+    "__u_r0b0_e0_1(x) :- R(x).\nT(x) :- R(x).\n@target T.",
+    "T(x) :- __u_r0b0_e0_1(x).\n@target T.",
+], ids=["head", "body"])
+def test_reserved_predicate_prefix(text):
+    # The grounder names its fresh predicates `__u_r...`: a user predicate
+    # of that name would share their equations.
+    with pytest.raises(ValidationError, match="reserved"):
+        parse_program(text)
+
+
 def test_syntax_error_position():
     with pytest.raises(ProgramSyntaxError) as exc:
         parse_program("T(x) :- R(x)\n@target T.")
