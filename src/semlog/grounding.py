@@ -1,13 +1,14 @@
 """Grounding a program + instance into a system of polynomial equations.
 
-One row loop, `_emit`, turns rows of variable values into monomials.  A
-cyclic body (or every body, under `naive`) gets its rows from the indexed
-left-to-right join of all its atoms; an acyclic body is grounded along a
-join tree (`_ground_tree`), each node joining only its own atom.  An
-acyclic body is rooted free-connex when it can be; otherwise a linear body
-whose IDBs all have arity <= 2 is cut at its IDB atom and each side is
-grounded by the same recursion, which keeps it within O(m * n).  All
-strategies write into the same `Grounding` sink so rules can mix.
+Every body is grounded as flat rules ``head :- atoms``, each through one
+indexed left-to-right join (`_join_rows`) whose rows `_emit` turns into
+monomials.  A cyclic body (or every body, under `naive`) is one flat rule.
+An acyclic body is refactored along a rooted join tree into one flat rule
+per node, over fresh IDBs for the tree's edges (`_flat_rules`).  It is
+rooted free-connex when it can be; otherwise a linear body whose IDBs all
+have arity <= 2 is cut at its IDB atom into two trees, which keeps it
+within O(m * n).  All strategies write into the same `Grounding` sink so
+rules can mix.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class Grounding:
 
 
 # ---------------------------------------------------------------------------
-# Rows and monomials
+# Flat rules: rows and monomials
 # ---------------------------------------------------------------------------
 
 
@@ -190,23 +191,24 @@ def _picker(positions: Sequence[int]):
 
 
 def _join_rows(atoms: Sequence[Atom], domain, relations):
-    """The rows of the join of `atoms`, left to right, and the variable at
-    each row position (in the order the atoms first bind them).
+    """The rows of the join of `atoms`, left to right, streamed one stage per
+    atom, and the variable at each row position (in the order the atoms
+    first bind them).
 
     An EDB atom extends each row through an index of its sorted facts keyed
     on the variables already bound; a fact that disagrees on a repeated
     variable is dropped when the index is built.  An IDB atom extends each
     row by every domain value of its unbound variables, sorted.
     """
-    rows: list[tuple] = [()]
+    rows: Iterable[tuple] = [()]
     order: list[int] = []
     for atom in atoms:
         pos = {v: i for i, v in enumerate(order)}
         if atom.is_idb:
             new = sorted({v for v in atom.args if v not in pos})
-            ext = list(itertools.product(domain, repeat=len(new)))
-            rows = [row + e for row in rows for e in ext]
-            order.extend(new)
+            if new:
+                rows = _extend(rows, list(itertools.product(domain, repeat=len(new))))
+                order.extend(new)
             continue
         args = atom.args
         first = [args.index(v) for v in args]
@@ -217,47 +219,56 @@ def _join_rows(atoms: Sequence[Atom], domain, relations):
         bound = [i for j, i in enumerate(first) if i == j and args[i] in pos]
         new = [i for j, i in enumerate(first) if i == j and args[i] not in pos]
         if not bound and len(new) == len(args):
-            rows = [row + f for row in rows for f in facts]
+            rows = _extend(rows, facts)
         else:
             key_of, new_of = _picker(bound), _picker(new)
             index: dict[tuple, list[tuple]] = {}
             for f in facts:
                 index.setdefault(key_of(f), []).append(new_of(f))
-            row_key = _picker([pos[args[i]] for i in bound])
-            rows = [row + e for row in rows for e in index.get(row_key(row), ())]
+            rows = _extend_indexed(rows, index, _picker([pos[args[i]] for i in bound]))
         order.extend(args[i] for i in new)
     return rows, order
 
 
-def _emit(g: Grounding, rows, combos, factors, head_pred: str, head_of) -> None:
-    """Add one monomial per row + combo to the equation of its head atom.
+# A stage takes its extensions as parameters: a generator expression in the
+# loop above would look them up late, after the loop has rebound them.
+def _extend(rows, ext):
+    return (row + e for row in rows for e in ext)
+
+
+def _extend_indexed(rows, index, row_key):
+    return (row + e for row in rows for e in index.get(row_key(row), ()))
+
+
+def _emit(g: Grounding, rows, factors, head_pred: str, head_of) -> None:
+    """Add one monomial per row to the equation of its head atom.
 
     `factors` are the monomial's atoms in order, each (symbol, picker, the
-    facts of an EDB atom or None for an IDB atom); a row whose EDB fact is
-    absent yields no monomial.
+    facts of an EDB atom or None for an IDB atom).  Every row comes from
+    the join of those atoms, so each EDB fact it reads is present.
     """
     intern_var, intern_coeff = g.intern_var, g.intern_coeff
     add_monomial = g.add_monomial
-    for base in rows:
-        for combo in combos:
-            row = base + combo
-            mono = []
-            for pred, pick, facts in factors:
-                key = pick(row)
-                if facts is None:
-                    mono.append(intern_var(pred, key))
-                elif key in facts:
-                    mono.append(intern_coeff(pred, key, facts[key]))
-                else:
-                    break
+    for row in rows:
+        mono = []
+        for pred, pick, facts in factors:
+            key = pick(row)
+            if facts is None:
+                mono.append(intern_var(pred, key))
             else:
-                add_monomial(intern_var(head_pred, head_of(row)), mono)
+                mono.append(intern_coeff(pred, key, facts[key]))
+        add_monomial(intern_var(head_pred, head_of(row)), mono)
 
 
-def _factor(atom: Atom, pos: dict[int, int], relations):
-    """The `_emit` factor reading `atom` from rows laid out by `pos`."""
-    facts = None if atom.is_idb else relations.get(atom.pred, {})
-    return atom.pred, _picker([pos[v] for v in atom.args]), facts
+def _ground_rule(g: Grounding, head: Atom, atoms: Sequence[Atom], domain, relations) -> None:
+    """Ground the flat rule `head :- atoms`: one monomial per row of the join."""
+    rows, order = _join_rows(atoms, domain, relations)
+    pos = {v: i for i, v in enumerate(order)}
+    factors = []
+    for atom in atoms:
+        facts = None if atom.is_idb else relations.get(atom.pred, {})
+        factors.append((atom.pred, _picker([pos[v] for v in atom.args]), facts))
+    _emit(g, rows, factors, head.pred, _picker([pos[v] for v in head.args]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +279,8 @@ def _factor(atom: Atom, pos: dict[int, int], relations):
 def _ground_body_naive(
     rule: Rule, body: SumProdQuery, instance: Instance, g: Grounding
 ) -> None:
-    relations = instance.relations
-    rows, order = _join_rows(body.atoms, instance.active_domain, relations)
-    pos = {v: i for i, v in enumerate(order)}
-    factors = [_factor(atom, pos, relations) for atom in body.atoms]
-    head_of = _picker([pos[v] for v in body.head_vars])
-    _emit(g, rows, [()], factors, rule.head_pred, head_of)
+    head = Atom(rule.head_pred, body.head_vars, True)
+    _ground_rule(g, head, body.atoms, instance.active_domain, instance.relations)
 
 
 def ground_naive(
@@ -294,7 +301,7 @@ def ground_naive(
 
 
 # ---------------------------------------------------------------------------
-# Acyclic grounding (join-tree recursion)
+# Acyclic grounding (join tree to flat rules)
 # ---------------------------------------------------------------------------
 
 
@@ -318,56 +325,41 @@ def _subtree_head_vars(
     return h_sub
 
 
-def _ground_tree(
+def _flat_rules(
     root: int,
     nodes: Sequence[Hyperedge],
     children: dict[int, list[int]],
-    head_pred: str,
-    head_args: tuple[int, ...],
+    head: Atom,
     head_set: frozenset[int],
-    domain,
-    relations,
-    g: Grounding,
     fresh_prefix: str,
-) -> None:
-    """Refactor/Ground/Recurse along a rooted join tree.
+) -> list[tuple[Atom, list[Atom]]]:
+    """Refactor a rooted join tree into flat rules, one per node, depth-first
+    pre-order with children left to right.
 
     `nodes` is indexed by node id.  Each tree edge (s, t) introduces the
     fresh IDB named ``<fresh_prefix>_e<s>_<t>`` over (bag(s) & bag(t)) | H_t,
-    unless t is a leaf whose bag is exactly those variables: then s's
-    monomials read t's atom in place, an IDB atom as its variable and an
-    EDB atom as its fact, dropping the row when the fact is absent.
+    the head of t's rule, unless t is a leaf whose bag is exactly those
+    variables: then s's rule reads t's atom in place.  A node's rule body is
+    its own atom, then per child, left to right, the leaf atom read in place
+    or the fresh atom.
     """
     h_sub = _subtree_head_vars(root, children, nodes, head_set)
-    stack = [(root, head_pred, head_args)]
+    rules = []
+    stack = [(root, head)]
     while stack:
-        s, pred, args = stack.pop()
-        node = nodes[s]
-        bag, atom = node.vertices, node.atom
-        e_st = {
-            t: tuple(sorted((bag & nodes[t].vertices) | h_sub[t]))
-            for t in children[s]
-        }
-        rows, order = _join_rows([atom], domain, relations)
-        extra = sorted(set().union(*e_st.values()) - bag)
-
-        # Each row holds the values of order + extra.  A factor is the
-        # node's own atom, then per child either its leaf atom read in place
-        # or the fresh IDB over the edge's variables.
-        pos = {v: i for i, v in enumerate(order + extra)}
-        factors, recurse = [_factor(atom, pos, relations)], []
+        s, head = stack.pop()
+        bag = nodes[s].vertices
+        body, fresh = [nodes[s].atom], []
         for t in children[s]:
-            if not children[t] and len(e_st[t]) == len(nodes[t].vertices):
-                factors.append(_factor(nodes[t].atom, pos, relations))
+            edge = tuple(sorted((bag & nodes[t].vertices) | h_sub[t]))
+            if not children[t] and len(edge) == len(nodes[t].vertices):
+                body.append(nodes[t].atom)
             else:
-                fresh = f"{fresh_prefix}_e{s}_{t}"
-                factors.append((fresh, _picker([pos[v] for v in e_st[t]]), None))
-                recurse.append((t, fresh, e_st[t]))
-        combos = list(itertools.product(domain, repeat=len(extra)))
-        _emit(g, rows, combos, factors, pred, _picker([pos[v] for v in args]))
-
-        # Depth-first pre-order, children left to right.
-        stack.extend(reversed(recurse))
+                body.append(Atom(f"{fresh_prefix}_e{s}_{t}", edge, True))
+                fresh.append((t, body[-1]))
+        rules.append((head, body))
+        stack.extend(reversed(fresh))
+    return rules
 
 
 def ground_acyclic_rule(
@@ -381,18 +373,11 @@ def ground_acyclic_rule(
 ) -> None:
     """Ground one acyclic sum-prod body along a rooted join tree."""
     _, children, _ = tree.rooted_at(root)
-    _ground_tree(
-        root,
-        tree.nodes,
-        children,
-        head_pred,
-        body.head_vars,
-        body.head_set,
-        instance.active_domain,
-        instance.relations,
-        g,
-        f"__u_r{rule_tag}",
-    )
+    head = Atom(head_pred, body.head_vars, True)
+    for rule_head, atoms in _flat_rules(
+        root, tree.nodes, children, head, body.head_set, f"__u_r{rule_tag}"
+    ):
+        _ground_rule(g, rule_head, atoms, instance.active_domain, instance.relations)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +443,7 @@ def ground_linear_acyclic2(
         )
     (z,) = join_vars
 
-    domain, relations, prefix = instance.active_domain, instance.relations, f"__u_r{rule_tag}"
+    prefix = f"__u_r{rule_tag}"
     chain = Atom(f"{prefix}_chain", (z, y), True)
     # The IDB's subtree, rooted at its first node holding y and cut off
     # from the IDB's parent, grounds chain(z, y); z is the only variable it
@@ -466,17 +451,16 @@ def ground_linear_acyclic2(
     t_y = next(u for u in _collect_subtree(children, t_node) if y in nodes[u].vertices)
     _, sub_children, _ = tree.rooted_at(t_y)
     sub_children[t_node] = [c for c in sub_children[t_node] if c != parent[t_node]]
-    _ground_tree(
-        t_y, nodes, sub_children, chain.pred, chain.args, chain.vars,
-        domain, relations, g, prefix,
-    )
+    rules = _flat_rules(t_y, nodes, sub_children, chain, chain.vars, prefix)
     # The rest of the tree, with chain(z, y) as a leaf read in place.
     outer = list(nodes)
     outer[t_node] = Hyperedge(t_node, chain.vars, chain)
-    _ground_tree(
-        root, outer, {**children, t_node: []}, head_pred, body.head_vars,
-        body.head_set, domain, relations, g, prefix,
+    head = Atom(head_pred, body.head_vars, True)
+    rules += _flat_rules(
+        root, outer, {**children, t_node: []}, head, body.head_set, prefix
     )
+    for rule_head, atoms in rules:
+        _ground_rule(g, rule_head, atoms, instance.active_domain, instance.relations)
     return root
 
 

@@ -1,16 +1,24 @@
 """The benchmark in `perfbench/` wraps semlog's entry points by name.
 
-If one is renamed, its per-layer metric silently reads zero, so these
-tests check that every name it wraps still exists.  They read
-`perfbench/` and change nothing there.
+If one is renamed, or the program stops calling it, its per-layer metric
+silently reads zero, so these tests check that every name it wraps still
+exists and that each workload's grounding still opens its spans.  They
+read `perfbench/` and change nothing there.
 """
 
 import importlib
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import pytest
+
+import semlog
+from semlog import grounding
+from semlog.semirings import boolean, tropical
+
+from conftest import random_instance
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -31,3 +39,26 @@ def test_wrapped_entry_points_are_callable(table, monkeypatch):
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
+
+# The benchmark's workloads: (corpus program, semiring, grounding spans).
+WORKLOAD_SPANS = {
+    "apsp-dense": ("apsp", tropical(), {"ground_program", "acyclic", "linear_arity2"}),
+    "andersen-points-to": (
+        "andersen", boolean(), {"ground_program", "acyclic", "linear_arity2"}
+    ),
+    "star-wide": ("ex51_star", tropical(), {"ground_program", "acyclic"}),
+}
+
+
+@pytest.mark.parametrize("workload", list(WORKLOAD_SPANS))
+def test_workload_grounding_opens_its_spans(workload, monkeypatch):
+    """`grounding.body_s.*` reads zero for a span that never opens."""
+    spans = load_spans(monkeypatch)
+    name, sr, want = WORKLOAD_SPANS[workload]
+    program = semlog.corpus_program(name)
+    inst = random_instance(program, sr, random.Random(f"spans:{workload}"))
+    tracer = spans.Tracer()
+    with spans.patched(spans.TRACED, tracer.wrap):
+        grounding.ground_program(program, inst)
+    opened = {s.name for s in tracer.spans}
+    assert {n.removeprefix("grounding.") for n in opened if n.startswith("grounding.")} == want

@@ -344,16 +344,16 @@ REPEATED_VARIABLE = {
 
 @pytest.fixture
 def tree_heads(monkeypatch):
-    """The head symbol of every `_ground_tree` call.  The trapped
+    """The head symbol of every grounded flat rule.  The trapped
     linear-arity2 case is the one that grounds a `__u_r<tag>_chain` head."""
     heads = []
-    real = grounding._ground_tree
+    real = grounding._ground_rule
 
-    def recorded(root, nodes, children, head_pred, *rest):
-        heads.append(head_pred)
-        real(root, nodes, children, head_pred, *rest)
+    def recorded(g, head, *rest):
+        heads.append(head.pred)
+        real(g, head, *rest)
 
-    monkeypatch.setattr(grounding, "_ground_tree", recorded)
+    monkeypatch.setattr(grounding, "_ground_rule", recorded)
     return heads
 
 
@@ -407,6 +407,21 @@ def test_absent_edb_leaf_fact_yields_no_monomial():
     )
     g, _ = ground_program(program, inst, strategy="auto")
     assert g.to_record()["equations"] == {"x_T_a": [["e_R_a_b", "e_S_b"]]}
+
+    # No S(b): the join yields no row with y = b, so U(b) is never interned.
+    program = parse_program("T(x) :- R(x, y), S(y), U(y).\n@target T.\n")
+    inst = semlog.build_instance(
+        {"R": {("a", "b"): True, ("a", "c"): True},
+         "S": {("c",): True}, "U": {("b",): True, ("c",): True}}, boolean()
+    )
+    g, _ = ground_program(program, inst, strategy="auto")
+    read = {a for monos in g.equations.values() for mono in monos for a in mono}
+    unread = [
+        g.atom_name(a)
+        for a, kind in enumerate(g.kinds)
+        if kind == grounding.KIND_COEFF and a not in read
+    ]
+    assert not unread
 
 
 def test_trapped_case_grounds_within_m_times_n(tree_heads):
