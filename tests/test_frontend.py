@@ -1,8 +1,9 @@
 import math
 import re
+import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import semlog
 from semlog.frontend import (
@@ -15,7 +16,7 @@ from semlog.frontend import (
     parse_program,
     pretty_print,
 )
-from semlog.semirings import boolean, naturals, tropical
+from semlog.semirings import boolean, naturals, set_semiring, tropical
 
 TC = """
 T(x1, x2) :- R(x1, x2).
@@ -141,15 +142,27 @@ def test_parse_facts_zero_dropped():
     assert inst.m == 0 and inst.relations == {}
 
 
-def test_parse_facts_errors():
-    with pytest.raises(ValidationError, match="malformed"):
-        parse_facts("R(a,b = 1.\n", tropical())
-    with pytest.raises(ValidationError, match="arity"):
-        parse_facts("R(a,b) = 1.\nR(a) = 1.\n", tropical())
-    with pytest.raises(ValidationError):
-        parse_facts("R(a,b) = frog.\n", tropical())
-    with pytest.raises(ValidationError, match="annotation"):
-        parse_facts("R(a,b).\n", tropical())
+# Comment and blank lines before the bad line: line numbers count them.
+PREAMBLE = "% header\n\nR(a, b) = 2.\n   \n  % note\r\n"
+
+
+@pytest.mark.parametrize("text, pattern", [
+    ("R(a,b = 1.\n", "line 1: malformed"),
+    ("R(a,b) = 1.\nR(a) = 1.\n", "line 2: arity mismatch for R: 1 vs 2"),
+    ("R(a,b) = frog.\n", "line 1: "),
+    ("R(a,b).\n", "line 1: missing annotation"),
+    (PREAMBLE + "R(a,b = 1.\n", "line 6: malformed"),
+    (PREAMBLE + "R(a) = 1.\n", "line 6: arity mismatch for R: 1 vs 2"),
+    (PREAMBLE + "R(a, c) = frog.\n", "line 6: could not convert"),
+    (PREAMBLE + "R(a, c).\n", "line 6: missing annotation for semiring tropical"),
+    # The good literal `2` is read three times before the bad one.
+    (PREAMBLE + "R(b, c) = 2.\nR(c, d) = 2 .\nR(d, e) = 2x.\n", "line 8: could not convert"),
+    (PREAMBLE + "R(b, c) = frog.\nR(c, d) = frog.\n", "line 6: could not convert"),
+], ids=["malformed", "arity", "literal", "annotation", "malformed-late", "arity-late",
+        "literal-late", "annotation-late", "literal-after-repeats", "literal-repeated"])
+def test_parse_facts_errors(text, pattern):
+    with pytest.raises(ValidationError, match=re.escape(pattern)):
+        parse_facts(text, tropical())
 
 
 def test_parse_facts_comments_and_quotes():
@@ -226,8 +239,6 @@ names = st.sampled_from(["a", "b", "c", "d"])
 @given(st.lists(st.tuples(names, names), min_size=0, max_size=8))
 def test_parse_facts_never_stores_zero(pairs):
     lines = "".join(f"R({a},{b}) = 1.\n" for a, b in pairs)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         inst = parse_facts(lines, naturals())
@@ -240,3 +251,93 @@ def test_idb_used_before_its_rule():
     assert program.idb_schema == {"S": 1, "T": 2}
     assert program.edb_schema == {"E": 2}
     assert program.rules[0].bodies[0].atoms[0].is_idb
+
+
+# A fact file drawn with its expected contents, built here without the parser.
+# Each semiring draws (literal text or None, value); None omits the annotation.
+SET_ITEMS = ("a", "b", "c")
+SEMIRING_VALUES = {
+    "tropical": st.one_of(
+        st.integers(0, 12).map(lambda i: (str(i), float(i))),
+        st.sampled_from([("1.5", 1.5), ("0.25", 0.25), ("2.5e-3", 0.0025),
+                         ("inf", math.inf)]),
+    ),
+    "boolean": st.sampled_from([(None, True), ("true", True), ("false", False)]),
+    "set:a,b,c": st.tuples(
+        st.lists(st.sampled_from(SET_ITEMS), unique=True, max_size=3),
+        st.sampled_from(["", " "]),
+    ).map(lambda d: ("{" + f"{d[1]},{d[1]}".join(d[0]) + "}", frozenset(d[0]))),
+}
+SEMIRINGS = {"tropical": tropical, "boolean": boolean,
+             "set:a,b,c": lambda: set_semiring(SET_ITEMS)}
+
+space = st.sampled_from(["", " ", "  ", "\t"])
+bare_constant = st.one_of(
+    st.from_regex(r"[A-Za-z0-9_'.-]{1,4}", fullmatch=True),
+    st.sampled_from(["x y", "v10", "a.b"]),
+)
+quoted_text = st.text(alphabet='ab ,%()', min_size=1, max_size=5)
+constant = st.one_of(
+    bare_constant.map(lambda c: (c, c)),
+    quoted_text.map(lambda c: (f'"{c}"', c)),
+)
+comment = st.text(alphabet='ab %(),"=.', max_size=6).map(lambda c: "%" + c)
+filler = st.one_of(st.sampled_from(["", "   ", "\t"]),
+                   st.tuples(space, comment).map("".join))
+
+
+@st.composite
+def fact_files(draw):
+    name = draw(st.sampled_from(sorted(SEMIRINGS)))
+    sr = SEMIRINGS[name]()
+    preds = draw(st.lists(st.from_regex(r"[A-Z][a-z0-9_']{0,3}", fullmatch=True),
+                          min_size=1, max_size=3, unique=True))
+    arity = {p: draw(st.integers(0, 3)) for p in preds}
+    expected: dict = {}
+    duplicates = 0
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(filler))
+            continue
+        pred = draw(st.sampled_from(preds))
+        args = [draw(constant) for _ in range(arity[pred])]
+        if draw(st.booleans()) and expected.get(pred):  # repeat a stored tuple
+            key = draw(st.sampled_from(sorted(expected[pred])))
+            args = [(f'"{c}"', c) for c in key]
+        lit, value = draw(SEMIRING_VALUES[name])
+        sep = draw(space) + "," + draw(space)
+        line = (draw(space) + pred + draw(space) + "(" + draw(space)
+                + sep.join(text for text, _ in args) + draw(space) + ")" + draw(space))
+        if lit is not None:
+            line += "=" + draw(space) + lit + draw(space)
+        line += "." + draw(space) + draw(st.sampled_from(["", "% c", "%(a, b)"]))
+        lines.append(line)
+        rel = expected.setdefault(pred, {})
+        key = tuple(c for _, c in args)
+        if key in rel:
+            duplicates += 1
+            value = sr.plus(rel[key], value)
+        rel[key] = value
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text.removesuffix(ends[-1])  # no line break after the last line
+    kept = {p: {k: v for k, v in rel.items() if v != sr.zero}
+            for p, rel in expected.items()}
+    return sr, text, {p: rel for p, rel in kept.items() if rel}, duplicates
+
+
+@settings(deadline=None)
+@given(fact_files())
+def test_parse_facts_matches_a_built_instance(drawn):
+    sr, text, relations, duplicates = drawn
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inst = parse_facts(text, sr)
+    assert sum(issubclass(w.category, DuplicateFactWarning) for w in caught) == duplicates
+    assert inst.relations == relations
+    domain = sorted({c for rel in relations.values() for key in rel for c in key})
+    assert inst.active_domain == tuple(domain)
+    assert inst.n == len(domain)
+    assert inst.m == sum(map(len, relations.values()))
