@@ -298,65 +298,102 @@ def pretty_print(program: Program) -> str:
 # ---------------------------------------------------------------------------
 
 # One match per line: an optional fact, then an optional `%` comment.  A
-# quoted argument may hold commas, parentheses and `%`.
+# quoted argument may hold commas, parentheses and `%`.  Bare arguments
+# separated by exactly ", " match `plain`, which splits without stripping;
+# any other argument list matches `args`.
 _FACT_RE = re.compile(
-    r"\s*(?:(?P<pred>[A-Za-z_][A-Za-z0-9_']*)\s*"
-    r'\((?P<args>[^()"%]*(?:"[^"]*"[^()"%]*)*)\)\s*'
-    r"(?:=\s*(?P<lit>[^%]+?)\s*)?\.\s*)?(?:%|$)"
+    r"\s*(?:(?P<pred>[A-Za-z_][A-Za-z0-9_']*)\s*\("
+    r'(?:(?P<plain>[^\s(),"%]+(?:, [^\s(),"%]+)*)|(?P<args>[^()"%]*(?:"[^"]*"[^()"%]*)*))'
+    r"\)\s*(?:=\s*(?P<lit>[^%]+?)\s*)?\.\s*)?(?:%|$)"
 )
 
 
-def _split_quoted(text: str) -> tuple[str, ...]:
-    """Split on the commas outside double quotes, then unquote."""
+def _split_args(text: str) -> tuple[str, ...]:
+    """Split on the commas outside double quotes, then unquote.
+
+    An empty or partly quoted argument comes back as ''.
+    """
+    if '"' not in text:
+        args = tuple(map(str.strip, text.split(",")))
+        return () if args == ("",) else args
     parts = [""]
     for i, piece in enumerate(text.split('"')):  # odd pieces are quoted
         first, *rest = (f'"{piece}"',) if i % 2 else piece.split(",")
         parts[-1] += first
         parts.extend(rest)
-    return tuple(s.strip().strip('"') for s in parts)
+    args = []
+    for part in map(str.strip, parts):
+        arg = part[1:-1] if len(part) > 1 and part[0] == part[-1] == '"' else part
+        args.append("" if '"' in arg else arg)
+    return tuple(args)
 
 
 def parse_facts(text: str, semiring: Semiring) -> Instance:
     """Read one annotated fact per line into an Instance.
 
-    Duplicate tuples are combined with the semiring's sum (with a warning);
-    facts annotated with the additive identity are dropped.
+    A line is ``Pred(c1, ..., ck) = literal.``, blank, or a comment from
+    ``%`` to its end; a fact may end in a comment too.  Lines break where
+    ``str.splitlines`` breaks them (``\\n``, ``\\r\\n``, ``\\r`` and the other
+    Unicode line boundaries), and errors name the line by that count.
+    Whitespace around names, arguments and the literal is ignored.
+
+    - A constant is a bare word (inner spaces kept) or a double-quoted
+      string, which may hold ``,``, ``%``, parentheses and spaces.  An empty
+      argument (``R(a, )``, ``R(,)``, ``R("")``) or one only partly quoted
+      (``R("a" b)``) is a malformed fact.  ``R()`` is a nullary fact.
+    - The literal uses the semiring's syntax; semirings with a default
+      value (boolean: true) may omit ``= literal``.
+    - A predicate keeps the arity of its first fact.
+    - Duplicate tuples are combined with the semiring's sum, with a
+      ``DuplicateFactWarning``; facts whose value is the additive identity
+      are dropped.
+
+    Raises ValidationError, naming the line, on the first bad fact.
     """
     relations: dict[str, dict[tuple[str, ...], object]] = {}
-    arities: dict[str, int] = {}
+    # Each distinct literal text is parsed once per call; the key None stands
+    # for an omitted annotation.  Values are immutable scalars, so facts may
+    # share them.  A literal that fails to parse is never stored.
+    values: dict[str | None, object] = {}
+    if semiring.default_value is not None:
+        values[None] = semiring.default_value
+    match = _FACT_RE.match
+    last = rel = arity = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        m = _FACT_RE.match(line)
+        m = match(line)
         if m is None:
             raise ValidationError(f"line {lineno}: malformed fact {line.strip()!r}")
-        pred = m.group("pred")
-        if pred is None:  # blank or comment-only line
+        pred, plain, args, lit = m.groups()
+        if plain is not None:
+            args = tuple(plain.split(", "))
+        elif pred is None:  # blank or comment-only line
             continue
-        args = m.group("args")
-        if '"' in args:
-            args = _split_quoted(args)
         else:
-            args = tuple(map(str.strip, args.split(",")))
-            if args == ("",):
-                args = ()
-        lit = m.group("lit")
-        if lit is None:
-            if semiring.default_value is None:
+            args = _split_args(args)
+        value = values.get(lit)
+        if value is None:
+            if lit is None:
                 raise ValidationError(
                     f"line {lineno}: missing annotation for semiring {semiring.name}"
                 )
-            value = semiring.default_value
-        else:
             try:
-                value = semiring.parse_literal(lit.strip())
+                value = values[lit] = semiring.parse_literal(lit.strip())
             except (ValueError, SemiringTypeError) as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from exc
-        if pred in arities and arities[pred] != len(args):
+        if pred != last:  # facts usually come grouped by predicate
+            last = pred
+            rel = relations.get(pred)
+            if rel is None:
+                rel = relations[pred] = {}
+                arity = len(args)
+            else:
+                arity = len(next(iter(rel)))
+        if len(args) != arity:
             raise ValidationError(
-                f"line {lineno}: arity mismatch for {pred}: "
-                f"{len(args)} vs {arities[pred]}"
+                f"line {lineno}: arity mismatch for {pred}: {len(args)} vs {arity}"
             )
-        arities.setdefault(pred, len(args))
-        rel = relations.setdefault(pred, {})
+        if plain is None and "" in args:
+            raise ValidationError(f"line {lineno}: malformed fact {line.strip()!r}")
         if args in rel:
             warnings.warn(
                 f"duplicate fact {pred}{args}: annotations combined",
@@ -366,12 +403,15 @@ def parse_facts(text: str, semiring: Semiring) -> Instance:
             value = semiring.plus(rel[args], value)
         rel[args] = value
 
-    for pred in list(relations):
-        rel = relations[pred]
-        for key in [k for k, v in rel.items() if v == semiring.zero]:
-            del rel[key]
-        if not rel:
-            del relations[pred]
+    # In a naturally ordered semiring a sum is zero only when a summand is,
+    # so a zero can be stored only if some literal read is zero.
+    if semiring.zero in values.values():
+        for pred in list(relations):
+            rel = relations[pred]
+            for key in [k for k, v in rel.items() if v == semiring.zero]:
+                del rel[key]
+            if not rel:
+                del relations[pred]
 
     return build_instance(relations, semiring)
 

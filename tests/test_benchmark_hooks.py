@@ -15,20 +15,24 @@ from pathlib import Path
 import pytest
 
 import semlog
-from semlog import grounding
-from semlog.semirings import boolean, tropical
+from semlog import frontend, grounding
+from semlog.semirings import boolean, semiring_from_token, tropical
 
 from conftest import random_instance
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans(monkeypatch):
+    return load_perfbench("spans", monkeypatch)
 
 
 @pytest.mark.parametrize("table", ["TRACED", "MEMORY_PROBES"])
@@ -62,3 +66,18 @@ def test_workload_grounding_opens_its_spans(workload, monkeypatch):
         grounding.ground_program(program, inst)
     opened = {s.name for s in tracer.spans}
     assert {n.removeprefix("grounding.") for n in opened if n.startswith("grounding.")} == want
+
+
+@pytest.mark.parametrize("workload", list(WORKLOAD_SPANS))
+def test_workload_parsing_opens_one_span_per_call(workload, monkeypatch):
+    """`frontend.parse_s` reads zero, or splits, if parsing moves out of `parse_facts`."""
+    spans = load_spans(monkeypatch)
+    w = load_perfbench("workloads", monkeypatch).WORKLOADS[workload]
+    text = w.generate(w, random.Random(f"{workload}:1"))
+    sr = semiring_from_token(w.semiring)
+    tracer = spans.Tracer()
+    with spans.patched(spans.TRACED, tracer.wrap):
+        for calls in (1, 2):
+            inst = frontend.parse_facts(text, sr)
+            assert [s.name for s in tracer.spans] == ["frontend.parse_facts"] * calls
+    assert inst.m == text.count("\n")

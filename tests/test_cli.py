@@ -176,6 +176,16 @@ def test_user_errors_exit_2(args, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fact", ["R(a, ) = 1.", "R(,) = 1.", 'R("a" b) = 1.'],
+                         ids=["empty-last", "empty-both", "half-quoted"])
+def test_empty_or_half_quoted_argument_exits_2(tmp_path, capsys, fact):
+    facts = tmp_path / "facts.txt"
+    facts.write_text(f"E(a, b) = 1.\n{fact}\n")
+    args = ["run", "--program", "corpus:eq2_tc", "--facts", str(facts), "--semiring", "tropical"]
+    assert main(args) == 2
+    assert "line 2: malformed fact" in capsys.readouterr().err
+
+
 def test_binary_facts_file_exits_2(tmp_path, capsys):
     facts = tmp_path / "facts.bin"
     facts.write_bytes(b"\xff\xfe\x00R(a,b).\n")

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +179,32 @@ def test_parse_facts_quoted_comma_and_percent():
 def test_parse_facts_unbalanced_quote_is_malformed():
     with pytest.raises(ValidationError):
         parse_facts('E("a, b).\n', boolean())
+
+
+@pytest.mark.parametrize("fact", [
+    "R(a, ) = 1.", "R(,) = 1.", 'R("a" b) = 1.', 'R("") = 1.', 'R(a "b") = 1.',
+], ids=["empty-last", "empty-both", "half-quoted", "empty-quoted", "quote-after-bare"])
+def test_parse_facts_rejects_empty_and_half_quoted_arguments(fact):
+    # They stored '' or 'a" b': `e_R_a_` cannot tell ('a', '') from ('a_',).
+    with pytest.raises(ValidationError, match=re.escape(f"line 3: malformed fact {fact!r}")):
+        parse_facts(f"E(a, b) = 1.\n% c\n{fact}\n", tropical())
+
+
+def test_readme_fact_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Fact files", 1)[1]
+    block = section.split("```", 2)[1]
+    with pytest.warns(DuplicateFactWarning):
+        inst = parse_facts(block, tropical())
+    assert inst.relations == README_FACTS
+
+
+# What the README's fact-file example reads as, over tropical.
+README_FACTS = {
+    "E": {("a", "b"): 1.5, ("b", "c"): 2.0, ("x, y", "c"): 0.25},
+    "S": {("a",): 0.0},
+    "Start": {(): 0.0},
+}
 
 
 def test_check_instance_against():
