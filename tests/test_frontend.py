@@ -147,7 +147,7 @@ def test_parse_facts_zero_dropped():
 PREAMBLE = "% header\n\nR(a, b) = 2.\n   \n  % note\r\n"
 
 
-@pytest.mark.parametrize("text, pattern", [
+FACT_ERRORS = [
     ("R(a,b = 1.\n", "line 1: malformed"),
     ("R(a,b) = 1.\nR(a) = 1.\n", "line 2: arity mismatch for R: 1 vs 2"),
     ("R(a,b) = frog.\n", "line 1: "),
@@ -159,11 +159,13 @@ PREAMBLE = "% header\n\nR(a, b) = 2.\n   \n  % note\r\n"
     # The good literal `2` is read three times before the bad one.
     (PREAMBLE + "R(b, c) = 2.\nR(c, d) = 2 .\nR(d, e) = 2x.\n", "line 8: could not convert"),
     (PREAMBLE + "R(b, c) = frog.\nR(c, d) = frog.\n", "line 6: could not convert"),
-], ids=["malformed", "arity", "literal", "annotation", "malformed-late", "arity-late",
-        "literal-late", "annotation-late", "literal-after-repeats", "literal-repeated"])
-def test_parse_facts_errors(text, pattern):
-    with pytest.raises(ValidationError, match=re.escape(pattern)):
-        parse_facts(text, tropical())
+]
+
+
+def test_parse_facts_errors():
+    for text, pattern in FACT_ERRORS:
+        with pytest.raises(ValidationError, match=re.escape(pattern)):
+            parse_facts(text, tropical())
 
 
 def test_parse_facts_comments_and_quotes():
@@ -185,9 +187,17 @@ def test_parse_facts_unbalanced_quote_is_malformed():
     "R(a, ) = 1.", "R(,) = 1.", 'R("a" b) = 1.', 'R("") = 1.', 'R(a "b") = 1.',
 ], ids=["empty-last", "empty-both", "half-quoted", "empty-quoted", "quote-after-bare"])
 def test_parse_facts_rejects_empty_and_half_quoted_arguments(fact):
-    # They stored '' or 'a" b': `e_R_a_` cannot tell ('a', '') from ('a_',).
+    # An empty constant names its atoms like `e_R_a_`, which reads as the constant 'a_'.
     with pytest.raises(ValidationError, match=re.escape(f"line 3: malformed fact {fact!r}")):
         parse_facts(f"E(a, b) = 1.\n% c\n{fact}\n", tropical())
+
+
+# What the README's fact-file example reads as, over tropical.
+README_FACTS = {
+    "E": {("a", "b"): 1.5, ("b", "c"): 2.0, ("x, y", "c"): 0.25},
+    "S": {("a",): 0.0},
+    "Start": {(): 0.0},
+}
 
 
 def test_readme_fact_example_parses():
@@ -197,14 +207,6 @@ def test_readme_fact_example_parses():
     with pytest.warns(DuplicateFactWarning):
         inst = parse_facts(block, tropical())
     assert inst.relations == README_FACTS
-
-
-# What the README's fact-file example reads as, over tropical.
-README_FACTS = {
-    "E": {("a", "b"): 1.5, ("b", "c"): 2.0, ("x, y", "c"): 0.25},
-    "S": {("a",): 0.0},
-    "Start": {(): 0.0},
-}
 
 
 def test_check_instance_against():
