@@ -3,9 +3,11 @@
 If one is renamed, or the program stops calling it, its per-layer metric
 silently reads zero, so these tests check that every name it wraps still
 exists and that each workload's grounding still opens its spans.  They
-read `perfbench/` and change nothing there.
+also pin the solver counts of each workload's seed-1 instance.  They read
+`perfbench/` and change nothing there.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import random
@@ -17,6 +19,7 @@ import pytest
 import semlog
 from semlog import frontend, grounding
 from semlog.semirings import boolean, semiring_from_token, tropical
+from semlog.solver import solve_grounding
 
 from conftest import random_instance
 
@@ -81,3 +84,30 @@ def test_workload_parsing_opens_one_span_per_call(workload, monkeypatch):
             inst = frontend.parse_facts(text, sr)
             assert [s.name for s in tracer.spans] == ["frontend.parse_facts"] * calls
     assert inst.m == text.count("\n")
+
+
+# Each workload's seed-1 grounding, solved by `solve_grounding`: (popped,
+# stale skips, sha256 of the repr of the `pops` list).
+SOLVER_PINS = {
+    "apsp-dense": (
+        784, 464, "1115622c95d480113cabcbf14977921822e3923ded11f4ef3ac6334c504b4f99"
+    ),
+    "andersen-points-to": (
+        736, 0, "11175f66e0568e3a7e26d5f31463cba2937c9c15e00ecf0a4786e447ed012f00"
+    ),
+    "star-wide": (
+        640, 367, "50583977179a37cb1158d1a4e849ceb21210e0fef677915bd45f1a95acf2f832"
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", list(SOLVER_PINS))
+def test_workload_solver_counts(workload, monkeypatch):
+    """`solver.pops` and `solver.stale_skips` read these; the pop order is pinned too."""
+    w = load_perfbench("workloads", monkeypatch).WORKLOADS[workload]
+    text = w.generate(w, random.Random(f"{workload}:1"))
+    inst = frontend.parse_facts(text, semiring_from_token(w.semiring))
+    g, _ = grounding.ground_program(semlog.corpus_program(w.program), inst)
+    stats = solve_grounding(g).stats
+    digest = hashlib.sha256(repr(stats["pops"]).encode()).hexdigest()
+    assert (stats["popped"], stats["stale_skips"], digest) == SOLVER_PINS[workload]
