@@ -60,6 +60,8 @@ class Grounding:
     ids in rule-body order.  `size` counts every coefficient/variable
     occurrence plus one per left-hand side; it is kept up to date by
     `ensure_equation` and `add_monomial`, the only writers of `equations`.
+    `depends` maps each flat rule's head symbol to the IDB symbols its body
+    reads; a grounding built by hand leaves it empty.
     """
 
     def __init__(self, semiring, cap: Optional[int] = None):
@@ -71,6 +73,7 @@ class Grounding:
         self.kinds: list[int] = []
         self.values: list[object] = []
         self.equations: dict[int, list[tuple[int, ...]]] = {}
+        self.depends: dict[str, set[str]] = {}
         self.size = 0
 
     # -- interning ---------------------------------------------------------
@@ -262,6 +265,7 @@ def _emit(g: Grounding, rows, factors, head_pred: str, head_of) -> None:
 
 def _ground_rule(g: Grounding, head: Atom, atoms: Sequence[Atom], domain, relations) -> None:
     """Ground the flat rule `head :- atoms`: one monomial per row of the join."""
+    g.depends.setdefault(head.pred, set()).update(a.pred for a in atoms if a.is_idb)
     rows, order = _join_rows(atoms, domain, relations)
     pos = {v: i for i, v in enumerate(order)}
     factors = []
@@ -564,6 +568,7 @@ def prune_unreachable(g: Grounding) -> Grounding:
     pruned.tuples = g.tuples
     pruned.kinds = g.kinds
     pruned.values = g.values
+    pruned.depends = g.depends
     for head, mono, count in zip(heads, monos, waiting):
         if supported[head]:
             pruned.ensure_equation(head)

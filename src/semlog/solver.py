@@ -1,7 +1,10 @@
 """Fixpoint solvers over grounded equation systems.
 
 The priority-queue solver for absorptive, totally ordered semirings runs on
-the grounding's sums of monomials directly.  The worklist solver for
+the grounding's sums of monomials directly, one stratum (a strongly
+connected component of the head-symbol dependency graph) at a time: a
+non-recursive stratum is evaluated in one pass, a recursive one by the heap
+loop, over its own equations.  The worklist solver for
 finite-rank semirings runs on its 2-canonical rewrite (every equation is
 y = a (+) b or y = a (x) b), so only that path reports `canonical_size`.
 The rewrite is a set of parallel int lists with a per-node `uses` index,
@@ -241,26 +244,75 @@ def solve_rank(
 # ---------------------------------------------------------------------------
 
 
-def solve_absorptive(g: Grounding) -> Solution:
-    """Dijkstra-style least fixpoint for absorptive, totally ordered semirings.
+def _strata(depends: dict[str, set[str]]) -> list[tuple[list[str], bool]]:
+    """The strongly connected components of the symbol graph `depends`
+    (head symbol -> the IDB symbols its rules read), dependencies first,
+    each with whether it is recursive: more than one symbol, or a self-edge.
 
-    Knuth's generalized Dijkstra on the sums of monomials, with
-    Dowling-Gallier counters: a monomial fires once all its variable
-    operands are frozen.  Variables pop in descending natural order
-    (ascending sort key) and freeze on first pop; products can only stay
-    below their factors, so a frozen value is final.  Only a firing that
-    raises a variable pushes it; stale heap entries are skipped lazily.
+    Tarjan's algorithm with an explicit stack, over sorted symbols so the
+    order is the same in every run.
     """
-    sr = g.semiring
-    if not (sr.is_absorptive and sr.is_total_order and sr.key_fn is not None):
-        raise SolverCapabilityError(
-            f"semiring {sr.name} is not absorptive with a total order key"
-        )
-    plus, times, key, zero, one = sr.plus_fn, sr.times_fn, sr.key_fn, sr.zero, sr.one
-    kinds = g.kinds
-    values = [zero if k == KIND_VAR else v for k, v in zip(kinds, g.values)]
-    frozen = [False] * len(kinds)
-    heads, monos, uses, waiting = g.flat_monomials()  # waiting: unfrozen operands
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    path: list[str] = []  # Tarjan's stack: visited, not yet in a component
+    strata = []
+    for root in sorted(depends):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        path.append(root)
+        work = [(root, iter(sorted(depends[root])))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    path.append(w)
+                    work.append((w, iter(sorted(depends.get(w, ())))))
+                    break
+                if w in low:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    i = path.index(v)
+                    component = path[i:]
+                    del path[i:]
+                    for w in component:
+                        del low[w]
+                    recursive = len(component) > 1 or v in depends.get(v, ())
+                    strata.append((component, recursive))
+    return strata
+
+
+def _stratum_monomials(equations, heads):
+    """`flat_monomials` for the equations of `heads` alone: only their own
+    variables are counted as operands, and `uses` is keyed by them.  Every
+    other atom is a coefficient or a variable of a finished stratum."""
+    uses: dict[int, list[int]] = {head: [] for head in heads}
+    mono_heads, monos, waiting = [], [], []
+    for head in heads:
+        for mono in equations[head]:
+            count = 0
+            for a in mono:
+                if a in uses:
+                    uses[a].append(len(monos))
+                    count += 1
+            mono_heads.append(head)
+            monos.append(mono)
+            waiting.append(count)
+    return mono_heads, monos, uses, waiting
+
+
+def _settle(sr, values, frozen, counters, pops) -> int:
+    """Knuth's generalized Dijkstra over one system of counters: fires each
+    monomial once its variable operands are frozen, appends each pop to
+    `pops` and returns the number of stale heap entries skipped."""
+    plus, times, key, one = sr.plus_fn, sr.times_fn, sr.key_fn, sr.one
+    heads, monos, uses, waiting = counters  # waiting: unfrozen operands
     heap: list[tuple[object, int]] = []
 
     def fire(m: int) -> None:
@@ -277,7 +329,6 @@ def solve_absorptive(g: Grounding) -> Solution:
         if not count:
             fire(m)
 
-    pops: list[tuple[int, object]] = []
     stale = 0
     while heap:
         k, aid = heapq.heappop(heap)
@@ -290,9 +341,76 @@ def solve_absorptive(g: Grounding) -> Solution:
             waiting[m] -= 1
             if not waiting[m] and not frozen[heads[m]]:
                 fire(m)
+    return stale
+
+
+def solve_absorptive(g: Grounding) -> Solution:
+    """Dijkstra-style least fixpoint for absorptive, totally ordered semirings,
+    one stratum at a time.
+
+    A stratum is a strongly connected component of `g.depends`, the
+    head-symbol dependency graph, and strata are solved dependencies first.
+    A non-recursive stratum (one symbol, no self-edge) needs no fixpoint:
+    each of its heads is evaluated once, as the sum of its monomials'
+    products over final operands.  A recursive stratum runs Knuth's
+    generalized Dijkstra on its sums of monomials, with Dowling-Gallier
+    counters: a monomial fires once all its variable operands in the
+    stratum are frozen, lower strata being final.  Variables pop in
+    descending natural order (ascending sort key) and freeze on first pop;
+    products can only stay below their factors, so a frozen value is final.
+    Only a firing that raises a variable pushes it; stale heap entries are
+    skipped lazily.  With fewer than two strata (a grounding built by hand
+    has no `depends`) the whole grounding is that one loop.
+
+    Stats: `pops` (each heap-frozen variable with its value, in pop order),
+    `popped`, `stale_skips`, `one_pass` (the heads evaluated in one pass,
+    in order) and `evaluated`.
+    """
+    sr = g.semiring
+    if not (sr.is_absorptive and sr.is_total_order and sr.key_fn is not None):
+        raise SolverCapabilityError(
+            f"semiring {sr.name} is not absorptive with a total order key"
+        )
+    plus, times, zero = sr.plus_fn, sr.times_fn, sr.zero
+    kinds = g.kinds
+    values = [zero if k == KIND_VAR else v for k, v in zip(kinds, g.values)]
+    frozen = [False] * len(kinds)
+    pops: list[tuple[int, object]] = []
+    one_pass: list[int] = []
+    strata = _strata(g.depends)
+    if len(strata) < 2:
+        stale = _settle(sr, values, frozen, g.flat_monomials(), pops)
+    else:
+        stale = 0
+        equations, symbols = g.equations, g.symbols
+        heads_of: dict[str, list[int]] = {}
+        for head in equations:
+            heads_of.setdefault(symbols[head], []).append(head)
+        for stratum, recursive in strata:
+            heads = [head for symbol in stratum for head in heads_of.get(symbol, ())]
+            if recursive:
+                counters = _stratum_monomials(equations, heads)
+                stale += _settle(sr, values, frozen, counters, pops)
+                continue
+            for head in heads:
+                total = None
+                for mono in equations[head]:
+                    prod = values[mono[0]]
+                    for a in mono[1:]:
+                        prod = times(prod, values[a])
+                    total = prod if total is None else plus(total, prod)
+                if total is not None:
+                    values[head] = total
+            one_pass += heads
 
     atom_values = {aid: values[aid] for aid, kind in enumerate(kinds) if kind == KIND_VAR}
-    stats = {"pops": pops, "popped": len(pops), "stale_skips": stale}
+    stats = {
+        "pops": pops,
+        "popped": len(pops),
+        "stale_skips": stale,
+        "one_pass": one_pass,
+        "evaluated": len(one_pass),
+    }
     return Solution(sr, atom_values, "absorptive", stats)
 
 

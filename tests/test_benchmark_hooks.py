@@ -87,27 +87,47 @@ def test_workload_parsing_opens_one_span_per_call(workload, monkeypatch):
 
 
 # Each workload's seed-1 grounding, solved by `solve_grounding`: (popped,
-# stale skips, sha256 of the repr of the `pops` list).
+# stale skips, sha256 of the repr of the `pops` list, heads evaluated in one
+# pass).  apsp and andersen are one recursive stratum each; every stratum of
+# star is non-recursive, so nothing is popped.
 SOLVER_PINS = {
     "apsp-dense": (
-        784, 464, "1115622c95d480113cabcbf14977921822e3923ded11f4ef3ac6334c504b4f99"
+        784, 464, "1115622c95d480113cabcbf14977921822e3923ded11f4ef3ac6334c504b4f99", 0
     ),
     "andersen-points-to": (
-        736, 0, "11175f66e0568e3a7e26d5f31463cba2937c9c15e00ecf0a4786e447ed012f00"
+        736, 0, "11175f66e0568e3a7e26d5f31463cba2937c9c15e00ecf0a4786e447ed012f00", 0
     ),
     "star-wide": (
-        640, 367, "50583977179a37cb1158d1a4e849ceb21210e0fef677915bd45f1a95acf2f832"
+        0, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945", 640
     ),
 }
+
+
+def solve_seed_1(workload, monkeypatch):
+    """Parse, ground and solve the workload's seed-1 instance."""
+    w = load_perfbench("workloads", monkeypatch).WORKLOADS[workload]
+    text = w.generate(w, random.Random(f"{workload}:1"))
+    inst = frontend.parse_facts(text, semiring_from_token(w.semiring))
+    g, _ = grounding.ground_program(semlog.corpus_program(w.program), inst)
+    return solve_grounding(g)
 
 
 @pytest.mark.parametrize("workload", list(SOLVER_PINS))
 def test_workload_solver_counts(workload, monkeypatch):
     """`solver.pops` and `solver.stale_skips` read these; the pop order is pinned too."""
-    w = load_perfbench("workloads", monkeypatch).WORKLOADS[workload]
-    text = w.generate(w, random.Random(f"{workload}:1"))
-    inst = frontend.parse_facts(text, semiring_from_token(w.semiring))
-    g, _ = grounding.ground_program(semlog.corpus_program(w.program), inst)
-    stats = solve_grounding(g).stats
+    stats = solve_seed_1(workload, monkeypatch).stats
     digest = hashlib.sha256(repr(stats["pops"]).encode()).hexdigest()
-    assert (stats["popped"], stats["stale_skips"], digest) == SOLVER_PINS[workload]
+    got = (stats["popped"], stats["stale_skips"], digest, stats["evaluated"])
+    assert got == SOLVER_PINS[workload]
+
+
+@pytest.mark.parametrize("workload", list(SOLVER_PINS))
+def test_workload_query_opens_one_solve_span(workload, monkeypatch):
+    """`solver.solve_s` and `solver.solve_peak_mb` read zero, or split, if
+    solving moves out of `solve_absorptive`."""
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    with spans.patched(spans.TRACED, tracer.wrap):
+        solve_seed_1(workload, monkeypatch)
+    opened = [s.name for s in tracer.spans if s.name.startswith("solver.")]
+    assert opened == ["solver.solve_absorptive"]

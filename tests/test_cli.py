@@ -82,6 +82,22 @@ def test_run_structured_stats_equal_the_tsv(tmp_path, semiring, facts, solver, c
     assert {"popped", "iterations", "semiring_ops"} & set(record)
 
 
+def test_run_star_evaluates_every_head_in_one_pass(tmp_path, capsys):
+    """No equation of ex51_star is recursive, so nothing is popped."""
+    facts = tmp_path / "facts.txt"
+    facts.write_text("A(a) = 1.\nB(b) = 2.\nR14(c, d) = 3.\nR24(a, d) = 4.\nR34(b, d) = 5.\n")
+    args = ["run", "--program", "corpus:ex51_star", "--facts", str(facts),
+            "--semiring", "tropical"]
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    tsv = _tsv_stats(err)
+    assert out == "T(c)\t15\n"
+    assert tsv["popped"] == "0" and int(tsv["evaluated"]) > 0
+    assert main(args + ["--output", "structured"]) == 0
+    record = json.loads(capsys.readouterr().out)["stats"]
+    assert record["popped"] == 0 and record["evaluated"] == int(tsv["evaluated"])
+
+
 def test_run_corpus_program(capsys):
     rc = main(["run", "--program", "corpus:eq2_tc", "--semiring", "boolean",
                "--facts", "/dev/null"])

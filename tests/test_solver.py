@@ -1,10 +1,11 @@
+import copy
 import math
 import random
 
 import pytest
 
 import semlog
-from semlog.grounding import KIND_COEFF, Grounding, ground_naive, ground_program
+from semlog.grounding import KIND_COEFF, CyclicRuleError, Grounding, ground_naive, ground_program
 from semlog.semirings import access, boolean, naturals, set_semiring, tropical
 from semlog.solver import (
     OP_PLUS,
@@ -21,9 +22,11 @@ from semlog.solver import (
     solve_rank,
     to_two_canonical,
     _extract,
+    _strata,
 )
 
 from conftest import brute_force_fixpoint, random_instance, warshall
+from test_grounder import random_program
 
 TC = semlog.corpus_program("eq2_tc")
 
@@ -192,8 +195,19 @@ def hand_grounding(sr, c1, c2):
 
 
 def assert_pops_count_nonzero(sol):
-    nonzero = sum(v != sol.semiring.zero for v in sol.atom_values.values())
-    assert sol.stats["popped"] == nonzero
+    """Each non-zero variable of a recursive stratum is popped once, and each
+    head of a non-recursive stratum is evaluated once instead: the two sets
+    are disjoint, and every other head is a zero of a recursive stratum."""
+    one_pass = set(sol.stats["one_pass"])
+    assert sol.stats["evaluated"] == len(sol.stats["one_pass"]) == len(one_pass)
+    popped = {aid for aid, _ in sol.stats["pops"]}
+    assert popped.isdisjoint(one_pass)
+    zero = sol.semiring.zero
+    recursive_nonzero = {a for a, v in sol.atom_values.items() if v != zero} - one_pass
+    assert sol.stats["popped"] == len(recursive_nonzero)
+    assert popped == recursive_nonzero
+    zeros = {a for a, v in sol.atom_values.items() if v == zero}
+    assert popped | one_pass | zeros == set(sol.atom_values)
 
 
 @pytest.mark.parametrize(
@@ -230,6 +244,47 @@ def test_absorptive_matches_oracles(sr):
             assert sol.relation(g, "T") == want, strategy
             assert sol.atom_values == kleene_grounding(g).atom_values, strategy
             assert_pops_count_nonzero(sol)
+
+
+# A multi-stratum solve must agree with the one-stratum loop (the same
+# grounding with `depends` cleared) and with both oracles.
+@pytest.mark.parametrize("sr", [c[0] for c in ABSORPTIVE_COEFFS], ids=lambda sr: sr.name)
+def test_strata_match_the_one_stratum_solve_and_the_oracles(sr):
+    rng = random.Random(f"strata:{sr.name}")
+    programs = [semlog.corpus_program(name) for name in semlog.CORPUS for _ in range(3)]
+    programs += [random_program(rng) for _ in range(40)]
+    reached = set()
+    for program in programs:
+        inst = random_instance(program, sr, rng, nmax=4)
+        want = brute_force_fixpoint(program, inst)
+        for strategy in ("naive", "acyclic", "auto"):
+            try:
+                g, _ = ground_program(program, inst, strategy=strategy)
+            except CyclicRuleError:
+                continue
+            sol = solve_absorptive(g)
+            flat = copy.copy(g)
+            flat.depends = {}
+            one = solve_absorptive(flat)
+            assert one.stats["evaluated"] == 0
+            assert sol.atom_values == one.atom_values == kleene_grounding(g).atom_values
+            for symbol in program.idb_schema:
+                assert sol.relation(g, symbol) == want[symbol], (symbol, strategy)
+            assert_pops_count_nonzero(sol)
+            recursive = sum(rec for _, rec in _strata(g.depends))
+            reached.add((recursive, sol.stats["evaluated"] > 0))
+    assert {(0, True), (1, False), (1, True), (2, True)} <= reached, reached
+
+
+@pytest.mark.parametrize("sr", [c[0] for c in ABSORPTIVE_COEFFS], ids=lambda sr: sr.name)
+def test_star_evaluates_every_head_once(sr):
+    program = semlog.corpus_program("ex51_star")
+    inst = random_instance(program, sr, random.Random(f"star:{sr.name}"), nmax=5)
+    g, _ = ground_program(program, inst)
+    sol = solve_absorptive(g)
+    assert sol.stats["popped"] == sol.stats["stale_skips"] == 0
+    assert sorted(sol.stats["one_pass"]) == sorted(g.equations)
+    assert sol.atom_values == kleene_grounding(g).atom_values
 
 
 def test_rank_visit_bound():
