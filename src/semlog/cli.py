@@ -132,7 +132,11 @@ def cmd_run(cfg: RunConfig) -> int:
             {"rule": b.rule, "body": b.body, "strategy": b.strategy} for b in report
         ],
         "solver": sol.method,
-        **{k: sol.stats[k] for k in ("popped", "evaluated", "semiring_ops", "iterations") if k in sol.stats},
+        **{
+            k: sol.stats[k]
+            for k in ("popped", "evaluated", "semiring_ops", "iterations")
+            if k in sol.stats
+        },
         "wall_time": time.perf_counter() - t0,
     }
     if cfg.output == "structured":

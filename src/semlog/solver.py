@@ -355,12 +355,13 @@ def solve_absorptive(g: Grounding) -> Solution:
     products over final operands.  A recursive stratum runs Knuth's
     generalized Dijkstra on its sums of monomials, with Dowling-Gallier
     counters: a monomial fires once all its variable operands in the
-    stratum are frozen, lower strata being final.  Variables pop in
-    descending natural order (ascending sort key) and freeze on first pop;
-    products can only stay below their factors, so a frozen value is final.
-    Only a firing that raises a variable pushes it; stale heap entries are
-    skipped lazily.  With fewer than two strata (a grounding built by hand
-    has no `depends`) the whole grounding is that one loop.
+    stratum are frozen, lower strata being final.  Within a stratum,
+    variables pop in descending natural order (ascending sort key) and
+    freeze on first pop; products can only stay below their factors, so a
+    frozen value is final.  Only a firing that raises a variable pushes it;
+    stale heap entries are skipped lazily.  With fewer than two strata (a
+    grounding built by hand has no `depends`) the whole grounding is that
+    one loop, and the pop order is global.
 
     Stats: `pops` (each heap-frozen variable with its value, in pop order),
     `popped`, `stale_skips`, `one_pass` (the heads evaluated in one pass,
