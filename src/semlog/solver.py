@@ -247,44 +247,29 @@ def solve_rank(
 def _strata(depends: dict[str, set[str]]) -> list[tuple[list[str], bool]]:
     """The strongly connected components of the symbol graph `depends`
     (head symbol -> the IDB symbols its rules read), dependencies first,
-    each with whether it is recursive: more than one symbol, or a self-edge.
+    each with whether it is recursive: its symbols reach themselves.
 
-    Tarjan's algorithm with an explicit stack, over sorted symbols so the
-    order is the same in every run.
+    The graph has a few symbols, so each one's reachable set is searched
+    in full.  A component that reaches another reaches more symbols outside
+    itself, so sorting by that count puts dependencies first.
     """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    path: list[str] = []  # Tarjan's stack: visited, not yet in a component
-    strata = []
-    for root in sorted(depends):
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        path.append(root)
-        work = [(root, iter(sorted(depends[root])))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    path.append(w)
-                    work.append((w, iter(sorted(depends.get(w, ())))))
-                    break
-                if w in low:  # still on the stack
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    i = path.index(v)
-                    component = path[i:]
-                    del path[i:]
-                    for w in component:
-                        del low[w]
-                    recursive = len(component) > 1 or v in depends.get(v, ())
-                    strata.append((component, recursive))
+    symbols = sorted(set(depends).union(*depends.values()))
+    reach: dict[str, set[str]] = {}
+    for s in symbols:
+        seen, stack = set(), [s]
+        while stack:
+            for t in depends.get(stack.pop(), ()):
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        reach[s] = seen
+    strata, placed = [], set()
+    for s in symbols:
+        if s not in placed:
+            component = [t for t in symbols if t == s or (t in reach[s] and s in reach[t])]
+            placed.update(component)
+            strata.append((component, s in reach[s]))
+    strata.sort(key=lambda st: len(reach[st[0][0]].difference(st[0])))
     return strata
 
 
