@@ -103,13 +103,18 @@ SOLVER_PINS = {
 }
 
 
-def solve_seed_1(workload, monkeypatch):
-    """Parse, ground and solve the workload's seed-1 instance."""
+def ground_seed_1(workload, monkeypatch):
+    """Parse and ground the workload's seed-1 instance."""
     w = load_perfbench("workloads", monkeypatch).WORKLOADS[workload]
     text = w.generate(w, random.Random(f"{workload}:1"))
     inst = frontend.parse_facts(text, semiring_from_token(w.semiring))
     g, _ = grounding.ground_program(semlog.corpus_program(w.program), inst)
-    return solve_grounding(g)
+    return g
+
+
+def solve_seed_1(workload, monkeypatch):
+    """Parse, ground and solve the workload's seed-1 instance."""
+    return solve_grounding(ground_seed_1(workload, monkeypatch))
 
 
 @pytest.mark.parametrize("workload", list(SOLVER_PINS))
@@ -131,3 +136,34 @@ def test_workload_query_opens_one_solve_span(workload, monkeypatch):
         solve_seed_1(workload, monkeypatch)
     opened = [s.name for s in tracer.spans if s.name.startswith("solver.")]
     assert opened == ["solver.solve_absorptive"]
+
+
+# Each workload's seed-1 grounding: (sha256 of `to_text()`, sha256 of the
+# repr of its head order `list(g.equations)`, `size`).
+GROUNDING_PINS = {
+    "apsp-dense": (
+        "67aeb985528429d901b65a36b4b288a6782fc65080ac2ae988df49bfecf428ec",
+        "41cf5b16bcd76f28e2c95fcaca09837312dcbc9fa5041b9531ec72738ffc97f8",
+        13552,
+    ),
+    "andersen-points-to": (
+        "2bd4f345ec1df5ac0e2289e8c9236540906712aea43bd55009dbe5272bcd5575",
+        "7b51847308bf356d9a825f6f5a4816eba5d5aca0b97a6c88a2e8f23bd6cfca55",
+        21808,
+    ),
+    "star-wide": (
+        "57f58b3a589a3227e58b7fe71867d00abfb88e5b72d55eab05db8c29b8daa677",
+        "8430918736bb4aeed970d9e5ee25b92b20997b3cefd0367fe5651490782c716c",
+        15232,
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", list(GROUNDING_PINS))
+def test_workload_grounding_text_head_order_and_size(workload, monkeypatch):
+    """`grounding.size` and `grounding.equations` read these, and the solver
+    visits heads in this order."""
+    g = ground_seed_1(workload, monkeypatch)
+    text = hashlib.sha256(g.to_text().encode()).hexdigest()
+    heads = hashlib.sha256(repr(list(g.equations)).encode()).hexdigest()
+    assert (text, heads, g.size) == GROUNDING_PINS[workload]
