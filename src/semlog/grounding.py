@@ -52,16 +52,23 @@ class StrategyNotApplicable(GroundingError):
     pass
 
 
+def _name_part(text: str) -> str:
+    return repr(text) if "_" in text or "'" in text or '"' in text else text
+
+
 class Grounding:
     """Interned ground atoms plus equations: IDB variable -> sum of monomials.
 
     Atoms are indexed per symbol (`_index[symbol][args]` is the atom id), so
     a lookup hashes only the argument tuple.  A monomial is a tuple of atom
-    ids in rule-body order.  `size` counts every coefficient/variable
-    occurrence plus one per left-hand side; it is kept up to date by
-    `ensure_equation` and `add_monomial`, the only writers of `equations`.
-    `depends` maps each flat rule's head symbol to the IDB symbols its body
-    reads; a grounding built by hand leaves it empty.
+    ids in rule-body order.  `add_monomial` appends it and its head to two
+    flat lists, and `_seen` keeps each head in first-seen order, so growing
+    a grounding makes no list per head for the collector to promote.  The
+    first read of `equations` after writes groups them by head.  `size`
+    counts every coefficient/variable occurrence plus one per left-hand
+    side; it is kept up to date by `ensure_equation` and `add_monomial`,
+    the only writers.  `depends` maps each flat rule's head symbol to the
+    IDB symbols its body reads; a grounding built by hand leaves it empty.
     """
 
     def __init__(self, semiring, cap: Optional[int] = None):
@@ -72,7 +79,10 @@ class Grounding:
         self.tuples: list[tuple[str, ...]] = []
         self.kinds: list[int] = []
         self.values: list[object] = []
-        self.equations: dict[int, list[tuple[int, ...]]] = {}
+        self._equations: dict[int, list[tuple[int, ...]]] = {}
+        self._seen: dict[int, int] = {}
+        self._heads: list[int] = []
+        self._monos: list[tuple[int, ...]] = []
         self.depends: dict[str, set[str]] = {}
         self.size = 0
 
@@ -98,24 +108,42 @@ class Grounding:
         return self._intern(symbol, args, KIND_COEFF, value)
 
     def atom_name(self, aid: int) -> str:
+        """The symbol and constants joined by ``_``.  A user symbol or constant
+        that holds ``_`` or a quote is `repr`-quoted, so names stay distinct."""
         prefix = "x" if self.kinds[aid] == KIND_VAR else "e"
-        parts = (self.symbols[aid],) + self.tuples[aid]
-        return prefix + "_" + "_".join(parts)
+        symbol = self.symbols[aid]
+        if not symbol.startswith("__u_"):
+            symbol = _name_part(symbol)
+        return "_".join([prefix, symbol, *map(_name_part, self.tuples[aid])])
 
     # -- equation building -------------------------------------------------
 
+    @property
+    def equations(self) -> dict[int, list[tuple[int, ...]]]:
+        """IDB variable -> its monomials, heads in first-seen order."""
+        equations, seen = self._equations, self._seen
+        if len(equations) < len(seen):
+            for head in itertools.islice(seen, len(equations), None):
+                equations[head] = []
+        for head, mono in zip(self._heads, self._monos):
+            equations[head].append(mono)
+        self._heads.clear()
+        self._monos.clear()
+        return equations
+
     def ensure_equation(self, head: int) -> None:
-        if head not in self.equations:
-            self.equations[head] = []
+        if head not in self._seen:
+            self._seen[head] = len(self._seen)
             self._grow(1)
 
     def add_monomial(self, head: int, mono: Iterable[int]) -> None:
         mono = tuple(mono)
-        if head in self.equations:
-            self.equations[head].append(mono)
+        self._heads.append(head)
+        self._monos.append(mono)
+        if head in self._seen:
             self._grow(len(mono))
         else:
-            self.equations[head] = [mono]
+            self._seen[head] = len(self._seen)
             self._grow(1 + len(mono))
 
     def _grow(self, amount: int) -> None:

@@ -7,6 +7,7 @@ also pin the solver counts of each workload's seed-1 instance.  They read
 `perfbench/` and change nothing there.
 """
 
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -167,3 +168,19 @@ def test_workload_grounding_text_head_order_and_size(workload, monkeypatch):
     text = hashlib.sha256(g.to_text().encode()).hexdigest()
     heads = hashlib.sha256(repr(list(g.equations)).encode()).hexdigest()
     assert (text, heads, g.size) == GROUNDING_PINS[workload]
+
+
+def tracked_lists():
+    gc.collect()
+    return sum(type(o) is list for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("workload", list(GROUNDING_PINS))
+def test_workload_grounding_keeps_no_list_per_head(workload, monkeypatch):
+    """A list per equation head lives through the collections that fall
+    while a query grounds, and the collector promotes it to the oldest
+    generation; a flat grounding leaves a handful of lists."""
+    before = tracked_lists()
+    g = ground_seed_1(workload, monkeypatch)
+    assert tracked_lists() - before <= 16
+    assert g.size == GROUNDING_PINS[workload][2]

@@ -398,6 +398,60 @@ def test_no_equation_copies_a_leaf(sr):
                         assert not copy, (name, strategy, g.atom_name(head))
 
 
+def test_reads_between_writes_leave_the_equations_unchanged():
+    """`equations` groups the pending monomials on read; reading between
+    writes must give what one read at the end gives, head order included."""
+
+    def build(read):
+        g = Grounding(tropical())
+        x = [g.intern_var("T", (c,)) for c in "abcd"]
+        e = g.intern_coeff("E", ("a",), 1.0)
+        g.add_monomial(x[1], [e])
+        g.ensure_equation(x[0])
+        g.add_monomial(x[2], [x[1], e])
+        read(g)
+        g.add_monomial(x[1], [x[2]])
+        g.ensure_equation(x[3])
+        g.ensure_equation(x[1])
+        read(g)
+        read(g)
+        g.add_monomial(x[3], [x[0]])
+        g.add_monomial(x[0], [x[0], x[3]])
+        return g, x, e
+
+    g, x, e = build(lambda g: g.equations)
+    plain, _, _ = build(lambda g: None)
+    want = {x[1]: [(e,), (x[2],)], x[0]: [(x[0], x[3])], x[2]: [(x[1], e)], x[3]: [(x[0],)]}
+    for h in (g, plain):
+        assert list(h.equations.items()) == list(want.items())
+        assert h.size == 4 + 7
+    # prune_unreachable reads the pending monomials of a grounding never read.
+    unread, _, _ = build(lambda g: None)
+    pruned = [prune_unreachable(h) for h in (g, unread)]
+    assert list(pruned[0].equations.items()) == list(pruned[1].equations.items())
+    assert list(pruned[0].equations) == [x[1], x[2]]
+    assert pruned[0].size == pruned[1].size == 2 + 4
+
+
+def test_atom_names_of_distinct_atoms_differ():
+    program = parse_program("T(x, y) :- R(x, y).\n@target T.\n")
+    inst = semlog.parse_facts("R(a_b, c) = 1.\nR(a, b_c) = 2.\n", tropical())
+    g, _ = ground_program(program, inst)
+    assert g.to_text() == (
+        "x_T_'a_b'_c = e_R_'a_b'_c ;\n"
+        "x_T_a_'b_c' = e_R_a_'b_c' ;\n"
+    )
+    assert len(g.to_record()["equations"]) == 2
+    assert solve_grounding(g).named(g) == {"x_T_'a_b'_c": 1.0, "x_T_a_'b_c'": 2.0}
+
+    g = Grounding(tropical())
+    names = {g.atom_name(g.intern_coeff(sym, args, 1.0))
+             for sym, args in [("A_B", ("c",)), ("A", ("B", "c")), ("A", ("B_c",)),
+                               ("A", ("'B", "c'")), ("A", ("'B_c'",))]}
+    assert len(names) == 5
+    assert g.atom_name(g.intern_var("__u_r0b0_e0_1", ("a",))) == "x___u_r0b0_e0_1_a"
+
+
 def test_absent_edb_leaf_fact_yields_no_monomial():
     # S(y) is a leaf of R(x, y), read in place: R(a, c) and R(d, c) find no S(c).
     program = parse_program("T(x) :- R(x, y), S(y).\n@target T.\n")
