@@ -413,12 +413,20 @@ def parse_facts(text: str, semiring: Semiring) -> Instance:
             if not rel:
                 del relations[pred]
 
-    return build_instance(relations, semiring)
+    return _instance(relations, semiring)
 
 
 def build_instance(
     relations: dict[str, dict[tuple[str, ...], object]], semiring: Semiring
 ) -> Instance:
+    """An instance of `relations`; each relation's tuples share one arity."""
+    for pred, rel in relations.items():
+        if len(set(map(len, rel))) > 1:
+            raise ValidationError(f"relation {pred} mixes arities")
+    return _instance(relations, semiring)
+
+
+def _instance(relations, semiring: Semiring) -> Instance:
     domain = sorted({c for rel in relations.values() for t in rel for c in t})
     m = sum(len(rel) for rel in relations.values())
     return Instance(
@@ -435,13 +443,11 @@ def check_instance_against(program: Program, instance: Instance) -> None:
     for pred, rel in instance.relations.items():
         if pred in program.idb_schema:
             raise ValidationError(f"symbol {pred} used both as EDB (facts) and IDB")
-        if pred in program.edb_schema:
-            arity = program.edb_schema[pred]
-            for t in rel:
-                if len(t) != arity:
-                    raise ValidationError(
-                        f"fact {pred}{t}: arity {len(t)} vs declared {arity}"
-                    )
+        # An Instance holds each relation to one arity, so one tuple shows it.
+        arity = program.edb_schema.get(pred)
+        t = next(iter(rel), None)
+        if arity is not None and t is not None and len(t) != arity:
+            raise ValidationError(f"fact {pred}{t}: arity {len(t)} vs declared {arity}")
 
 
 # ---------------------------------------------------------------------------

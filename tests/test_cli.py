@@ -202,6 +202,13 @@ def test_empty_or_half_quoted_argument_exits_2(tmp_path, capsys, fact):
     assert "line 2: malformed fact" in capsys.readouterr().err
 
 
+def test_declared_arity_mismatch_exits_2(tmp_path, capsys):
+    facts = tmp_path / "facts.txt"
+    facts.write_text("R(a, b, c).\n")
+    assert main(["run", "--program", "corpus:eq2_tc", "--facts", str(facts)]) == 2
+    assert "arity 3 vs declared 2" in capsys.readouterr().err
+
+
 def test_binary_facts_file_exits_2(tmp_path, capsys):
     facts = tmp_path / "facts.bin"
     facts.write_bytes(b"\xff\xfe\x00R(a,b).\n")

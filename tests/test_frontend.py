@@ -11,6 +11,7 @@ from semlog.frontend import (
     DuplicateFactWarning,
     ProgramSyntaxError,
     ValidationError,
+    build_instance,
     check_instance_against,
     classify,
     parse_facts,
@@ -207,6 +208,12 @@ def test_readme_fact_example_parses():
     with pytest.warns(DuplicateFactWarning):
         inst = parse_facts(block, tropical())
     assert inst.relations == README_FACTS
+
+
+def test_build_instance_rejects_mixed_arities():
+    with pytest.raises(ValidationError, match="R mixes arities"):
+        build_instance({"E": {("a",): 1.0}, "R": {("a", "b"): 1.0, ("c",): 2.0}}, tropical())
+    check_instance_against(parse_program(TC), build_instance({"R": {}}, tropical()))
 
 
 def test_check_instance_against():
