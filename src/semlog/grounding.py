@@ -121,6 +121,7 @@ class Grounding:
     @property
     def equations(self) -> dict[int, list[tuple[int, ...]]]:
         """IDB variable -> its monomials, heads in first-seen order."""
+        # The grouped heads are always the first len(equations) of `_seen`.
         equations, seen = self._equations, self._seen
         if len(equations) < len(seen):
             for head in itertools.islice(seen, len(equations), None):
