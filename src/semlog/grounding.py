@@ -61,10 +61,12 @@ class Grounding:
 
     Atoms are indexed per symbol (`_index[symbol][args]` is the atom id), so
     a lookup hashes only the argument tuple.  A monomial is a tuple of atom
-    ids in rule-body order.  `add_monomial` appends it and its head to two
-    flat lists, and `_seen` keeps each head in first-seen order, so growing
-    a grounding makes no list per head for the collector to promote.  The
-    first read of `equations` after writes groups them by head.  `size`
+    ids in rule-body order.  The monomials are stored flat and only so:
+    `add_monomial` appends each one and its head to two emission-order
+    lists, `_monos` and `_heads`, and `_seen` keeps each head in first-seen
+    order, so a grounding keeps no list per head for the collector to
+    promote.  `equations` groups them by head each time it is read;
+    `solve_absorptive` and `prune_unreachable` read the flat lists.  `size`
     counts every coefficient/variable occurrence plus one per left-hand
     side; it is kept up to date by `ensure_equation` and `add_monomial`,
     the only writers.  `depends` maps each flat rule's head symbol to the
@@ -79,7 +81,6 @@ class Grounding:
         self.tuples: list[tuple[str, ...]] = []
         self.kinds: list[int] = []
         self.values: list[object] = []
-        self._equations: dict[int, list[tuple[int, ...]]] = {}
         self._seen: dict[int, int] = {}
         self._heads: list[int] = []
         self._monos: list[tuple[int, ...]] = []
@@ -120,16 +121,11 @@ class Grounding:
 
     @property
     def equations(self) -> dict[int, list[tuple[int, ...]]]:
-        """IDB variable -> its monomials, heads in first-seen order."""
-        # The grouped heads are always the first len(equations) of `_seen`.
-        equations, seen = self._equations, self._seen
-        if len(equations) < len(seen):
-            for head in itertools.islice(seen, len(equations), None):
-                equations[head] = []
+        """IDB variable -> its monomials, heads in first-seen order: a view
+        built on each read, so a reader binds it once."""
+        equations: dict[int, list[tuple[int, ...]]] = {head: [] for head in self._seen}
         for head, mono in zip(self._heads, self._monos):
             equations[head].append(mono)
-        self._heads.clear()
-        self._monos.clear()
         return equations
 
     def ensure_equation(self, head: int) -> None:
@@ -159,30 +155,13 @@ class Grounding:
                 self.ensure_equation(aid)
         return self
 
-    def flat_monomials(self):
-        """Dowling-Gallier counter setup: parallel `heads`/`monos`, one per
-        monomial; `uses`, variable -> monomial per occurrence; `waiting`, each
-        monomial's variable operands with multiplicity."""
-        kinds = self.kinds
-        heads = [head for head, monos in self.equations.items() for _ in monos]
-        monos = [mono for head_monos in self.equations.values() for mono in head_monos]
-        uses: list[list[int]] = [[] for _ in kinds]
-        waiting: list[int] = []
-        for m, mono in enumerate(monos):
-            count = 0
-            for a in mono:
-                if kinds[a] == KIND_VAR:
-                    uses[a].append(m)
-                    count += 1
-            waiting.append(count)
-        return heads, monos, uses, waiting
-
     # -- output ------------------------------------------------------------
 
     def to_text(self) -> str:
         lines = []
-        for head in sorted(self.equations, key=self.atom_name):
-            monos = self.equations[head]
+        equations = self.equations
+        for head in sorted(equations, key=self.atom_name):
+            monos = equations[head]
             if monos:
                 rhs = " + ".join(
                     " * ".join(self.atom_name(a) for a in mono) for mono in monos
@@ -569,17 +548,35 @@ def ground_program(
     return g.finalize(), report
 
 
+def counters(heads: list[int], monos: list[tuple[int, ...]], variables):
+    """Dowling-Gallier counter setup for the monomials `monos` of `heads`
+    (parallel lists): `uses`, each atom of `variables` -> the monomial once
+    per occurrence as an operand, and `waiting`, each monomial's operands
+    among `variables` with multiplicity.  Any other atom is a constant."""
+    uses: dict[int, list[int]] = {v: [] for v in variables}
+    waiting: list[int] = []
+    for m, mono in enumerate(monos):
+        count = 0
+        for a in mono:
+            if a in uses:
+                uses[a].append(m)
+                count += 1
+        waiting.append(count)
+    return heads, monos, uses, waiting
+
+
 def prune_unreachable(g: Grounding) -> Grounding:
     """Drop IDB equations that can never leave the additive identity.
 
     A variable is supported once some monomial has all its variable
     operands supported; unsupported variables stay at zero in the least
     fixpoint, so removing their equations (and the monomials mentioning
-    them) preserves it.  One worklist over `flat_monomials`' counters, as in
-    `solver.solve_absorptive`: each monomial counts its unsupported
+    them) preserves it.  One worklist over the flat monomials' `counters`,
+    as in `solver.solve_absorptive`: each monomial counts its unsupported
     variable operands, and reaching 0 supports its head.
     """
-    heads, monos, uses, waiting = g.flat_monomials()
+    variables = [aid for aid, kind in enumerate(g.kinds) if kind == KIND_VAR]
+    heads, monos, uses, waiting = counters(g._heads, g._monos, variables)
     supported = [False] * len(g.kinds)
     queue = [head for head, count in zip(heads, waiting) if not count]
     for v in queue:  # a head may be queued more than once; it is taken once
@@ -598,9 +595,10 @@ def prune_unreachable(g: Grounding) -> Grounding:
     pruned.kinds = g.kinds
     pruned.values = g.values
     pruned.depends = g.depends
-    for head, mono, count in zip(heads, monos, waiting):
+    for head in g._seen:
         if supported[head]:
             pruned.ensure_equation(head)
-            if not count:
-                pruned.add_monomial(head, mono)
+    for head, mono, count in zip(heads, monos, waiting):
+        if not count:
+            pruned.add_monomial(head, mono)
     return pruned

@@ -4,7 +4,7 @@ The priority-queue solver for absorptive, totally ordered semirings runs on
 the grounding's sums of monomials directly, one stratum (a strongly
 connected component of the head-symbol dependency graph) at a time: a
 non-recursive stratum is evaluated in one pass, a recursive one by the heap
-loop, over its own equations.  The worklist solver for
+loop, over its own monomials.  The worklist solver for
 finite-rank semirings runs on its 2-canonical rewrite (every equation is
 y = a (+) b or y = a (x) b), so only that path reports `canonical_size`.
 The rewrite is a set of parallel int lists with a per-node `uses` index,
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .frontend import Instance, Program, SumProdQuery
-from .grounding import KIND_COEFF, KIND_VAR, Grounding
+from .grounding import KIND_COEFF, KIND_VAR, Grounding, counters
 
 
 class SolverError(Exception):
@@ -273,25 +273,6 @@ def _strata(depends: dict[str, set[str]]) -> list[tuple[list[str], bool]]:
     return strata
 
 
-def _stratum_monomials(equations, heads):
-    """`flat_monomials` for the equations of `heads` alone: only their own
-    variables are counted as operands, and `uses` is keyed by them.  Every
-    other atom is a coefficient or a variable of a finished stratum."""
-    uses: dict[int, list[int]] = {head: [] for head in heads}
-    mono_heads, monos, waiting = [], [], []
-    for head in heads:
-        for mono in equations[head]:
-            count = 0
-            for a in mono:
-                if a in uses:
-                    uses[a].append(len(monos))
-                    count += 1
-            mono_heads.append(head)
-            monos.append(mono)
-            waiting.append(count)
-    return mono_heads, monos, uses, waiting
-
-
 def _settle(sr, values, frozen, counters, pops) -> int:
     """Knuth's generalized Dijkstra over one system of counters: fires each
     monomial once its variable operands are frozen, appends each pop to
@@ -334,23 +315,23 @@ def solve_absorptive(g: Grounding) -> Solution:
     one stratum at a time.
 
     A stratum is a strongly connected component of `g.depends`, the
-    head-symbol dependency graph, and strata are solved dependencies first.
-    A non-recursive stratum (one symbol, no self-edge) needs no fixpoint:
-    each of its heads is evaluated once, as the sum of its monomials'
-    products over final operands.  A recursive stratum runs Knuth's
-    generalized Dijkstra on its sums of monomials, with Dowling-Gallier
-    counters: a monomial fires once all its variable operands in the
-    stratum are frozen, lower strata being final.  Within a stratum,
-    variables pop in descending natural order (ascending sort key) and
-    freeze on first pop; products can only stay below their factors, so a
-    frozen value is final.  Only a firing that raises a variable pushes it;
-    stale heap entries are skipped lazily.  With fewer than two strata (a
-    grounding built by hand has no `depends`) the whole grounding is that
-    one loop, and the pop order is global.
+    head-symbol dependency graph, and strata are solved dependencies first;
+    a grounding built by hand has no `depends`, and all its variables are
+    one recursive stratum.  The emission-order monomials are split by their
+    head's stratum in one pass.  A non-recursive stratum (one symbol, no
+    self-edge) needs no fixpoint: each of its heads is evaluated once, as
+    the sum of its monomials' products over final operands.  A recursive
+    stratum runs Knuth's generalized Dijkstra on its own monomials, with
+    Dowling-Gallier counters: a monomial fires once all its variable
+    operands in the stratum are frozen, lower strata being final.  Within a
+    stratum, variables pop in descending natural order (ascending sort key)
+    and freeze on first pop; products can only stay below their factors, so
+    a frozen value is final.  Only a firing that raises a variable pushes
+    it; stale heap entries are skipped lazily.
 
     Stats: `pops` (each heap-frozen variable with its value, in pop order),
-    `popped`, `stale_skips`, `one_pass` (the heads evaluated in one pass,
-    in order) and `evaluated`.
+    `popped`, `stale_skips`, `one_pass` (the heads of non-recursive strata,
+    stratum by stratum) and `evaluated`.
     """
     sr = g.semiring
     if not (sr.is_absorptive and sr.is_total_order and sr.key_fn is not None):
@@ -358,36 +339,37 @@ def solve_absorptive(g: Grounding) -> Solution:
             f"semiring {sr.name} is not absorptive with a total order key"
         )
     plus, times, zero = sr.plus_fn, sr.times_fn, sr.zero
-    kinds = g.kinds
+    kinds, index = g.kinds, g._index
     values = [zero if k == KIND_VAR else v for k, v in zip(kinds, g.values)]
     frozen = [False] * len(kinds)
     pops: list[tuple[int, object]] = []
     one_pass: list[int] = []
-    strata = _strata(g.depends)
-    if len(strata) < 2:
-        stale = _settle(sr, values, frozen, g.flat_monomials(), pops)
-    else:
-        stale = 0
-        equations, symbols = g.equations, g.symbols
-        heads_of: dict[str, list[int]] = {}
-        for head in equations:
-            heads_of.setdefault(symbols[head], []).append(head)
-        for stratum, recursive in strata:
-            heads = [head for symbol in stratum for head in heads_of.get(symbol, ())]
-            if recursive:
-                counters = _stratum_monomials(equations, heads)
-                stale += _settle(sr, values, frozen, counters, pops)
-                continue
-            for head in heads:
-                total = None
-                for mono in equations[head]:
-                    prod = values[mono[0]]
-                    for a in mono[1:]:
-                        prod = times(prod, values[a])
-                    total = prod if total is None else plus(total, prod)
-                if total is not None:
-                    values[head] = total
-            one_pass += heads
+    stale = 0
+    strata = _strata(g.depends) or [
+        ([s for s, ids in index.items() if kinds[next(iter(ids.values()))] == KIND_VAR], True)
+    ]
+    members = [[aid for s in stratum for aid in index.get(s, {}).values()] for stratum, _ in strata]
+    stratum_of = {aid: i for i, aids in enumerate(members) for aid in aids}
+    split: list[tuple[list, list]] = [([], []) for _ in strata]
+    for head, mono in zip(g._heads, g._monos):
+        heads, monos = split[stratum_of[head]]
+        heads.append(head)
+        monos.append(mono)
+    for (_, recursive), aids, (heads, monos) in zip(strata, members, split):
+        if recursive:
+            stale += _settle(sr, values, frozen, counters(heads, monos, aids), pops)
+            continue
+        # Each sum starts from its first product; `frozen` marks a head that has one.
+        for head, mono in zip(heads, monos):
+            prod = values[mono[0]]
+            for a in mono[1:]:
+                prod = times(prod, values[a])
+            if frozen[head]:
+                values[head] = plus(values[head], prod)
+            else:
+                values[head] = prod
+                frozen[head] = True
+        one_pass += aids
 
     atom_values = {aid: values[aid] for aid, kind in enumerate(kinds) if kind == KIND_VAR}
     stats = {
@@ -430,13 +412,13 @@ def kleene_grounding(g: Grounding, max_iters: Optional[int] = None) -> Solution:
     monomials), independent of the 2-canonical rewriting."""
     sr = g.semiring
     plus, times, zero = sr.plus_fn, sr.times_fn, sr.zero
-    heads = list(g.equations)
+    equations = g.equations
     if max_iters is None:
-        max_iters = 10 * len(heads) + 10
-    values = {h: zero for h in heads}
+        max_iters = 10 * len(equations) + 10
+    values = {aid: zero for aid, kind in enumerate(g.kinds) if kind == KIND_VAR}
     for it in range(1, max_iters + 1):
-        nxt = {}
-        for head, monos in g.equations.items():
+        nxt = dict(values)
+        for head, monos in equations.items():
             acc = zero
             for mono in monos:
                 prod = sr.one
@@ -451,8 +433,7 @@ def kleene_grounding(g: Grounding, max_iters: Optional[int] = None) -> Solution:
                     acc = plus(acc, prod)
             nxt[head] = acc
         if nxt == values:
-            atom_values = dict(values)
-            return Solution(sr, atom_values, "kleene", {"iterations": it})
+            return Solution(sr, values, "kleene", {"iterations": it})
         values = nxt
     raise NonConvergence(max_iters)
 

@@ -178,9 +178,13 @@ def tracked_lists():
 @pytest.mark.parametrize("workload", list(GROUNDING_PINS))
 def test_workload_grounding_keeps_no_list_per_head(workload, monkeypatch):
     """A list per equation head lives through the collections that fall
-    while a query grounds, and the collector promotes it to the oldest
-    generation; a flat grounding leaves a handful of lists."""
+    while a query grounds and solves, and the collector promotes it to the
+    oldest generation; a flat grounding leaves a handful of lists, and so
+    does solving it."""
     before = tracked_lists()
     g = ground_seed_1(workload, monkeypatch)
     assert tracked_lists() - before <= 16
+    sol = solve_grounding(g)
+    assert tracked_lists() - before <= 16
     assert g.size == GROUNDING_PINS[workload][2]
+    assert sol.stats["popped"] == SOLVER_PINS[workload][0]

@@ -399,8 +399,9 @@ def test_no_equation_copies_a_leaf(sr):
 
 
 def test_reads_between_writes_leave_the_equations_unchanged():
-    """`equations` groups the pending monomials on read; reading between
-    writes must give what one read at the end gives, head order included."""
+    """`equations` is a view grouped from the flat lists on each read;
+    reading between writes must give what one read at the end gives, head
+    order included."""
 
     def build(read):
         g = Grounding(tropical())
@@ -425,7 +426,7 @@ def test_reads_between_writes_leave_the_equations_unchanged():
     for h in (g, plain):
         assert list(h.equations.items()) == list(want.items())
         assert h.size == 4 + 7
-    # prune_unreachable reads the pending monomials of a grounding never read.
+    # prune_unreachable reads the flat lists of a grounding never read.
     unread, _, _ = build(lambda g: None)
     pruned = [prune_unreachable(h) for h in (g, unread)]
     assert list(pruned[0].equations.items()) == list(pruned[1].equations.items())

@@ -246,6 +246,17 @@ def test_absorptive_matches_oracles(sr):
             assert_pops_count_nonzero(sol)
 
 
+# Two recursive strata, the upper one reading the lower as constants; few
+# random programs and no corpus program have two.
+STACKED = semlog.parse_program(
+    "T(x, y) :- E(x, y).\n"
+    "T(x, y) :- T(x, z), E(z, y).\n"
+    "S(x, y) :- T(x, y).\n"
+    "S(x, y) :- S(x, z), F(z, y).\n"
+    "@target S.\n"
+)
+
+
 # A multi-stratum solve must agree with the one-stratum loop (the same
 # grounding with `depends` cleared) and with both oracles.
 @pytest.mark.parametrize("sr", [c[0] for c in ABSORPTIVE_COEFFS], ids=lambda sr: sr.name)
@@ -253,6 +264,7 @@ def test_strata_match_the_one_stratum_solve_and_the_oracles(sr):
     rng = random.Random(f"strata:{sr.name}")
     programs = [semlog.corpus_program(name) for name in semlog.CORPUS for _ in range(3)]
     programs += [random_program(rng) for _ in range(40)]
+    programs += [STACKED] * 3
     reached = set()
     for program in programs:
         inst = random_instance(program, sr, rng, nmax=4)
@@ -278,7 +290,19 @@ def test_strata_match_the_one_stratum_solve_and_the_oracles(sr):
                 keys.setdefault(stratum_of.get(g.symbols[aid]), []).append(sr.key_fn(value))
             assert all(k == sorted(k) for k in keys.values())
             reached.add((sum(rec for _, rec in strata), sol.stats["evaluated"] > 0))
-    assert {(0, True), (1, False), (1, True), (2, True)} <= reached, reached
+    assert {(0, True), (1, False), (1, True), (2, False), (2, True)} <= reached, reached
+
+
+def test_kleene_and_absorptive_agree_without_finalize():
+    """T(a) = E(a) + T(b)*E(a), built by hand with no equation for T(b): both
+    solvers start every variable atom at zero."""
+    g = Grounding(tropical())
+    a, b = g.intern_var("T", ("a",)), g.intern_var("T", ("b",))
+    e = g.intern_coeff("E", ("a",), 1.0)
+    g.add_monomial(a, [e])
+    g.add_monomial(a, [b, e])
+    want = {a: 1.0, b: math.inf}
+    assert kleene_grounding(g).atom_values == solve_absorptive(g).atom_values == want
 
 
 @pytest.mark.parametrize("sr", [c[0] for c in ABSORPTIVE_COEFFS], ids=lambda sr: sr.name)
