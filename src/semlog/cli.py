@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import random
+import re
 import statistics
 import sys
 import time
@@ -98,8 +99,14 @@ def _load_inputs(cfg: RunConfig):
     return program, instance
 
 
+_NEEDS_QUOTES = re.compile(r"[\s,()%]").search
+
+
 def _format_atom(symbol: str, args: tuple[str, ...]) -> str:
-    return f"{symbol}({','.join(args)})"
+    """The atom in fact-file syntax: a constant holding ``,``, ``(``, ``)``,
+    ``%`` or whitespace is double-quoted, so distinct tuples print apart."""
+    quoted = (f'"{a}"' if _NEEDS_QUOTES(a) else a for a in args)
+    return f"{symbol}({','.join(quoted)})"
 
 
 def _stats_lines(stats: dict) -> list[str]:
@@ -425,15 +432,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             sizes = parse_sizes(args.sizes)
             return cmd_bench(cfg, args.seed, args.family, sizes, args.nodes)
         raise AssertionError(args.command)
-    except (UserInputError, FrontendError, OSError) as exc:
+    except (UserInputError, FrontendError, OSError, CyclicRuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SolverCapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except CyclicRuleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED

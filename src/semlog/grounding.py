@@ -60,17 +60,20 @@ class Grounding:
     """Interned ground atoms plus equations: IDB variable -> sum of monomials.
 
     Atoms are indexed per symbol (`_index[symbol][args]` is the atom id), so
-    a lookup hashes only the argument tuple.  A monomial is a tuple of atom
-    ids in rule-body order.  The monomials are stored flat and only so:
-    `add_monomial` appends each one and its head to two emission-order
-    lists, `_monos` and `_heads`, and `_seen` keeps each head in first-seen
-    order, so a grounding keeps no list per head for the collector to
-    promote.  `equations` groups them by head each time it is read;
-    `solve_absorptive` and `prune_unreachable` read the flat lists.  `size`
-    counts every coefficient/variable occurrence plus one per left-hand
-    side; it is kept up to date by `ensure_equation` and `add_monomial`,
-    the only writers.  `depends` maps each flat rule's head symbol to the
-    IDB symbols its body reads; a grounding built by hand leaves it empty.
+    a lookup hashes only the argument tuple.  `values` is the initial
+    valuation, indexed by atom id: a coefficient's annotation, and the
+    semiring's zero for a variable; every solver starts from a copy of it.
+    A monomial is a tuple of atom ids in rule-body order.  The monomials are
+    stored flat and only so: `add_monomial` appends each one and its head to
+    two emission-order lists, `_monos` and `_heads`, and `_seen` keeps each
+    head in first-seen order, so a grounding keeps no list per head for the
+    collector to promote.  `equations` groups them by head each time it is
+    read, for printing and `solver.to_two_canonical`; the other solvers and
+    `prune_unreachable` read the flat lists.  `size` counts every
+    coefficient/variable occurrence plus one per left-hand side; it is kept
+    up to date by `ensure_equation` and `add_monomial`, the only writers.
+    `depends` maps each flat rule's head symbol to the IDB symbols its body
+    reads; a grounding built by hand leaves it empty.
     """
 
     def __init__(self, semiring, cap: Optional[int] = None):
@@ -89,7 +92,7 @@ class Grounding:
 
     # -- interning ---------------------------------------------------------
 
-    def _intern(self, symbol: str, args: tuple[str, ...], kind: int, value=None) -> int:
+    def _intern(self, symbol: str, args: tuple[str, ...], kind: int, value) -> int:
         index = self._index.get(symbol)
         if index is None:
             index = self._index[symbol] = {}
@@ -103,7 +106,7 @@ class Grounding:
         return aid
 
     def intern_var(self, symbol: str, args: tuple[str, ...]) -> int:
-        return self._intern(symbol, args, KIND_VAR)
+        return self._intern(symbol, args, KIND_VAR, self.semiring.zero)
 
     def intern_coeff(self, symbol: str, args: tuple[str, ...], value) -> int:
         return self._intern(symbol, args, KIND_COEFF, value)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .frontend import Instance, Program, SumProdQuery
-from .grounding import KIND_COEFF, KIND_VAR, Grounding, counters
+from .grounding import KIND_VAR, Grounding, counters
 
 
 class SolverError(Exception):
@@ -131,9 +131,7 @@ def to_two_canonical(g: Grounding) -> TwoCanonicalSystem:
         temp -= 1
 
     ntemps = temp - first_temp
-    zero = sr.zero
-    atoms = [zero if k == KIND_VAR else v for k, v in zip(kinds, g.values)]
-    sys.init_values = [zero, sr.one] + atoms + [zero] * ntemps
+    sys.init_values = [sr.zero, sr.one] + g.values + [sr.zero] * ntemps
     sys.var_count = kinds.count(KIND_VAR) + ntemps
     is_var = [False, False] + [k == KIND_VAR for k in kinds] + [True] * ntemps
     uses = sys.uses = [[] if v else () for v in is_var]
@@ -157,31 +155,26 @@ def to_two_canonical(g: Grounding) -> TwoCanonicalSystem:
 
 @dataclass
 class Solution:
-    """Values for every grounding IDB atom plus solver counters."""
+    """The least fixpoint as a value per grounding atom id (a coefficient
+    keeps its annotation), plus solver counters."""
 
     semiring: object
-    atom_values: dict[int, object]  # grounding atom id -> value
+    values: list
     method: str
     stats: dict = field(default_factory=dict)
 
     def relation(self, g: Grounding, symbol: str) -> dict[tuple[str, ...], object]:
-        """Non-zero tuples of one IDB symbol."""
-        zero = self.semiring.zero
-        out = {}
-        for aid, value in self.atom_values.items():
-            if g.symbols[aid] == symbol and value != zero:
-                out[g.tuples[aid]] = value
-        return out
+        """Non-zero tuples of one symbol, in atom id order."""
+        zero, values = self.semiring.zero, self.values
+        return {
+            args: values[aid]
+            for args, aid in g._index.get(symbol, {}).items()
+            if values[aid] != zero
+        }
 
     def named(self, g: Grounding) -> dict[str, object]:
-        return {g.atom_name(a): v for a, v in self.atom_values.items()}
-
-
-def _extract(sys: TwoCanonicalSystem, values, g: Grounding, method, stats) -> Solution:
-    atom_values = {
-        aid: values[sys.ATOMS + aid] for aid, kind in enumerate(g.kinds) if kind == KIND_VAR
-    }
-    return Solution(g.semiring, atom_values, method, stats)
+        """Each IDB variable's name -> its value."""
+        return {g.atom_name(a): v for a, v in enumerate(self.values) if g.kinds[a] == KIND_VAR}
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +195,7 @@ def solve_rank(
     after the seeding pass.  Returns (values, stats).
     """
     sr = sys.semiring
-    if sr.finite_rank is None:
-        raise SolverCapabilityError(
-            f"semiring {sr.name} has no declared finite rank"
-        )
+    _require("rank", sr)
     plus, times = sr.plus_fn, sr.times_fn
     lhs, xs, ys, ops, uses = sys.lhs, sys.a, sys.b, sys.ops, sys.uses
     values = list(sys.init_values)
@@ -334,13 +324,10 @@ def solve_absorptive(g: Grounding) -> Solution:
     stratum by stratum) and `evaluated`.
     """
     sr = g.semiring
-    if not (sr.is_absorptive and sr.is_total_order and sr.key_fn is not None):
-        raise SolverCapabilityError(
-            f"semiring {sr.name} is not absorptive with a total order key"
-        )
-    plus, times, zero = sr.plus_fn, sr.times_fn, sr.zero
+    _require("absorptive", sr)
+    plus, times = sr.plus_fn, sr.times_fn
     kinds, index = g.kinds, g._index
-    values = [zero if k == KIND_VAR else v for k, v in zip(kinds, g.values)]
+    values = list(g.values)
     frozen = [False] * len(kinds)
     pops: list[tuple[int, object]] = []
     one_pass: list[int] = []
@@ -371,7 +358,6 @@ def solve_absorptive(g: Grounding) -> Solution:
                 frozen[head] = True
         one_pass += aids
 
-    atom_values = {aid: values[aid] for aid, kind in enumerate(kinds) if kind == KIND_VAR}
     stats = {
         "pops": pops,
         "popped": len(pops),
@@ -379,7 +365,7 @@ def solve_absorptive(g: Grounding) -> Solution:
         "one_pass": one_pass,
         "evaluated": len(one_pass),
     }
-    return Solution(sr, atom_values, "absorptive", stats)
+    return Solution(sr, values, "absorptive", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -408,30 +394,25 @@ def kleene_system(
 
 
 def kleene_grounding(g: Grounding, max_iters: Optional[int] = None) -> Solution:
-    """Synchronous Kleene iteration directly on the grounding (sums of
-    monomials), independent of the 2-canonical rewriting."""
+    """Synchronous Kleene iteration directly on the grounding's flat
+    monomials, independent of the 2-canonical rewriting: each iterate starts
+    from `g.values` and adds each non-zero monomial product into its head."""
     sr = g.semiring
-    plus, times, zero = sr.plus_fn, sr.times_fn, sr.zero
-    equations = g.equations
+    plus, times, zero, one = sr.plus_fn, sr.times_fn, sr.zero, sr.one
+    heads, monos = g._heads, g._monos
     if max_iters is None:
-        max_iters = 10 * len(equations) + 10
-    values = {aid: zero for aid, kind in enumerate(g.kinds) if kind == KIND_VAR}
+        max_iters = 10 * len(g._seen) + 10
+    values = list(g.values)
     for it in range(1, max_iters + 1):
-        nxt = dict(values)
-        for head, monos in equations.items():
-            acc = zero
-            for mono in monos:
-                prod = sr.one
-                dead = False
-                for aid in mono:
-                    v = g.values[aid] if g.kinds[aid] == KIND_COEFF else values[aid]
-                    prod = times(prod, v)
-                    if prod == zero:
-                        dead = True
-                        break
-                if not dead:
-                    acc = plus(acc, prod)
-            nxt[head] = acc
+        nxt = list(g.values)
+        for head, mono in zip(heads, monos):
+            prod = one
+            for aid in mono:
+                prod = times(prod, values[aid])
+                if prod == zero:
+                    break
+            else:
+                nxt[head] = plus(nxt[head], prod)
         if nxt == values:
             return Solution(sr, values, "kleene", {"iterations": it})
         values = nxt
@@ -525,22 +506,24 @@ def kleene_program(
 METHODS = ("auto", "rank", "absorptive", "kleene")
 
 
-def pick_method(sr) -> str:
-    if sr.is_absorptive and sr.is_total_order and sr.key_fn is not None:
-        return "absorptive"
-    if sr.finite_rank is not None:
-        return "rank"
-    return "kleene"
-
-
 def applicable_methods(sr) -> list[str]:
-    out = []
-    if sr.finite_rank is not None:
-        out.append("rank")
+    """The methods that support `sr`, in `check`'s row order: `rank` needs a
+    finite rank, `absorptive` an absorptive total order with a sort key."""
+    out = ["rank"] if sr.finite_rank is not None else []
     if sr.is_absorptive and sr.is_total_order and sr.key_fn is not None:
         out.append("absorptive")
-    out.append("kleene")
-    return out
+    return out + ["kleene"]
+
+
+def pick_method(sr) -> str:
+    """`absorptive` where it applies, else the first applicable method."""
+    methods = applicable_methods(sr)
+    return "absorptive" if "absorptive" in methods else methods[0]
+
+
+def _require(method: str, sr) -> None:
+    if method not in applicable_methods(sr):
+        raise SolverCapabilityError(f"semiring {sr.name} does not support the {method} solver")
 
 
 def solve_grounding(
@@ -563,6 +546,6 @@ def solve_grounding(
         values, stats = solve_rank(sys, on_update=on_update)
         stats["semiring_ops"] = stats["init_ops"] + stats["loop_ops"]
         stats["canonical_size"] = sys.size
-        sol = _extract(sys, values, g, method, stats)
+        sol = Solution(g.semiring, values[sys.ATOMS : sys.ATOMS + len(g.kinds)], method, stats)
     sol.stats["grounding_size"] = g.size
     return sol

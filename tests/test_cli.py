@@ -3,10 +3,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semlog
 from semlog import cli
 from semlog.cli import build_bench_instance, main
+from semlog.frontend import parse_facts
 from semlog.semirings import UserInputError, boolean
 
 TC = "T(x1, x2) :- R(x1, x2).\nT(x1, x2) :- T(x1, x3), R(x3, x2).\n@target T.\n"
@@ -99,10 +101,38 @@ def test_run_star_evaluates_every_head_in_one_pass(tmp_path, capsys):
 
 
 def test_run_corpus_program(capsys):
-    rc = main(["run", "--program", "corpus:eq2_tc", "--semiring", "boolean",
-               "--facts", "/dev/null"])
-    out, _ = capsys.readouterr()
-    assert rc == 0 and out == ""
+    for facts in (["--facts", "/dev/null"], []):  # an empty fact file, and none
+        rc = main(["run", "--program", "corpus:eq2_tc", "--semiring", "boolean", *facts])
+        out, _ = capsys.readouterr()
+        assert rc == 0 and out == "", facts
+
+
+def test_run_quotes_constants_so_distinct_answers_print_apart(tmp_path, capsys):
+    """Printed bare, both answers would read T(a,b,c)."""
+    prog = tmp_path / "copy.dl"
+    prog.write_text("T(x, y) :- R(x, y).\n@target T.\n")
+    facts = tmp_path / "facts.txt"
+    facts.write_text('R("a,b", c) = 1.\nR(a, "b,c") = 2.\n')
+    args = ["run", "--program", str(prog), "--facts", str(facts), "--semiring", "tropical"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == ['T(a,"b,c")\t2', 'T("a,b",c)\t1']
+    assert main(args + ["--output", "structured"]) == 0
+    relation = json.loads(capsys.readouterr().out)["relation"]
+    assert relation == {'T(a,"b,c")': "2", 'T("a,b",c)': "1"}
+
+
+# Any constant a fact file can hold: no double quote and no line break.
+fact_constant = st.one_of(
+    st.text(alphabet="ab ,%()\t", min_size=1, max_size=4),
+    st.text(st.characters(exclude_characters='"'), min_size=1, max_size=4),
+).filter(lambda c: len(f"x{c}x".splitlines()) == 1)
+
+
+@settings(deadline=None)
+@given(st.lists(fact_constant, max_size=3))
+def test_printed_atom_parses_back_as_a_fact(args):
+    text = cli._format_atom("T", tuple(args)) + "."
+    assert parse_facts(text, boolean()).relations == {"T": {tuple(args): True}}
 
 
 def test_ground_explain(tc_files, capsys):
@@ -141,6 +171,70 @@ def test_check_agrees(tc_files, capsys):
     assert "DISAGREE" not in out and "agree" in out
 
 
+TRIANGLE = "T(x) :- R(x, y), R(y, z), R(z, x).\n@target T.\n"
+
+
+@pytest.fixture
+def triangle_files(tmp_path):
+    prog = tmp_path / "triangle.dl"
+    prog.write_text(TRIANGLE)
+    facts = tmp_path / "facts.txt"
+    facts.write_text("R(a,b).\nR(b,c).\nR(c,a).\n")
+    return str(prog), str(facts)
+
+
+def test_run_acyclic_strategy_on_a_cyclic_body_exits_2(triangle_files, capsys):
+    prog, facts = triangle_files
+    rc = main(["run", "--program", prog, "--facts", facts, "--strategy", "acyclic"])
+    _, err = capsys.readouterr()
+    assert rc == 2 and err == "error: rule T body 0 is cyclic\n"
+
+
+def test_check_reports_a_cyclic_body_under_acyclic(triangle_files, capsys):
+    prog, facts = triangle_files
+    assert main(["check", "--program", prog, "--facts", facts]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert "acyclic\t-\tcyclic" in rows
+    assert [r for r in rows if r.startswith("naive\t")] == [
+        "naive\trank\tagree", "naive\tabsorptive\tagree", "naive\tkleene\tagree"
+    ]
+
+
+def test_check_disagreement_exits_6(tc_files, monkeypatch, capsys):
+    """A solver that loses every answer disagrees with the oracle."""
+    prog, facts = tc_files
+    solve = cli.solve_grounding
+
+    def lossy(g, **kwargs):
+        sol = solve(g, **kwargs)
+        sol.values = [g.semiring.zero] * len(sol.values)
+        return sol
+
+    monkeypatch.setattr(cli, "solve_grounding", lossy)
+    rc = main(["check", "--program", prog, "--facts", facts, "--semiring", "tropical"])
+    out, err = capsys.readouterr()
+    assert rc == 6 and "DISAGREE" in out
+    assert err == "first differing atom: T(a,b)\n"
+
+
+def test_check_refuses_more_than_12_constants(tmp_path, tc_files, capsys):
+    prog, _ = tc_files
+    facts = tmp_path / "chain.txt"
+    facts.write_text("".join(f"R(v{i},v{i + 1}) = 1.\n" for i in range(12)))
+    rc = main(["check", "--program", prog, "--facts", str(facts), "--semiring", "tropical"])
+    _, err = capsys.readouterr()
+    assert rc == 2 and err.startswith("check requires n <= 12 (got 13)")
+
+
+def test_ground_structured(tc_files, capsys):
+    prog, facts = tc_files
+    rc = main(["ground", "--program", prog, "--facts", facts,
+               "--semiring", "tropical", "--output", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["semiring"] == "tropical" and doc["size"] > 0
+    assert ["e_R_a_b"] in doc["equations"]["x_T_a_b"]
+
+
 def test_classify(tc_files, capsys):
     prog, _ = tc_files
     rc = main(["classify", "--program", prog])
@@ -159,10 +253,15 @@ def test_flag_unread_by_subcommand_is_rejected(tc_files, capsys):
 
 def test_bad_program_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.dl"
-    bad.write_text("T(x) :- R(y).\n@target T.\n")
-    rc = main(["run", "--program", str(bad), "--facts", "/dev/null"])
-    _, err = capsys.readouterr()
-    assert rc == 2 and "error" in err
+    for text, message in [
+        ("T(x) :- R(y).\n@target T.\n", "unsafe"),
+        ("T(x) :- R(x) & S(x).\n@target T.\n", "1:14: unexpected character '&'"),
+        ("% no rules\n@target T.\n", "program has no rules"),
+    ]:
+        bad.write_text(text)
+        rc = main(["run", "--program", str(bad), "--facts", "/dev/null"])
+        _, err = capsys.readouterr()
+        assert rc == 2 and err.startswith("error: ") and message in err, text
 
 
 def test_reserved_predicate_exits_2(tmp_path, capsys):
@@ -282,21 +381,22 @@ def test_divergent_naturals_exits_5(tmp_path, capsys):
 
 
 def test_bench_csv(capsys):
-    args = ["bench", "--program", "corpus:sssp", "--semiring", "tropical",
-            "--family", "path", "--sizes", "8,16,32", "--seed", "1"]
-    rc = main(args)
-    out1, err1 = capsys.readouterr()
-    assert rc == 0
-    lines = out1.splitlines()
-    assert lines[0] == ("index,family,size,m,n,grounding_size,"
-                        "canonical_size,solver,wall_time,status")
-    assert len(lines) == 4 and all(",path," in l for l in lines[1:])
-    assert "slope" in err1
-    # identical seeds give identical measurements (modulo wall time)
-    main(args)
-    out2, _ = capsys.readouterr()
     strip = lambda s: ["," .join(l.split(",")[:8]) for l in s.splitlines()]
-    assert strip(out1) == strip(out2)
+    for family in ("path", "grid"):
+        args = ["bench", "--program", "corpus:sssp", "--semiring", "tropical",
+                "--family", family, "--sizes", "8,16,32", "--seed", "1"]
+        rc = main(args)
+        out1, err1 = capsys.readouterr()
+        assert rc == 0
+        lines = out1.splitlines()
+        assert lines[0] == ("index,family,size,m,n,grounding_size,"
+                            "canonical_size,solver,wall_time,status")
+        assert len(lines) == 4 and all(f",{family}," in l for l in lines[1:])
+        assert "slope" in err1
+        # identical seeds give identical measurements (modulo wall time)
+        main(args)
+        out2, _ = capsys.readouterr()
+        assert strip(out1) == strip(out2)
 
 
 ANDERSEN_FACTS = {

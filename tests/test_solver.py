@@ -6,7 +6,7 @@ import pytest
 
 import semlog
 from semlog.grounding import (
-    KIND_COEFF, CyclicRuleError, Grounding, ground_naive, ground_program
+    KIND_COEFF, KIND_VAR, CyclicRuleError, Grounding, ground_naive, ground_program
 )
 from semlog.semirings import access, boolean, naturals, set_semiring, tropical
 from semlog.solver import (
@@ -23,7 +23,6 @@ from semlog.solver import (
     solve_grounding,
     solve_rank,
     to_two_canonical,
-    _extract,
     _strata,
 )
 
@@ -88,8 +87,8 @@ def test_canonicalization_preserves_fixpoint():
         g, _ = ground_program(program, inst, strategy="auto")
         sys = to_two_canonical(g)
         values, _ = kleene_system(sys)
-        via_sys = _extract(sys, values, g, "kleene", {}).named(g)
-        direct = kleene_grounding(g).named(g)
+        via_sys = values[sys.ATOMS : sys.ATOMS + len(g.kinds)]
+        direct = kleene_grounding(g).values
         assert via_sys == direct, name
 
 
@@ -196,7 +195,7 @@ def hand_grounding(sr, c1, c2):
     return g.finalize()
 
 
-def assert_pops_count_nonzero(sol):
+def assert_pops_count_nonzero(g, sol):
     """Each non-zero variable of a recursive stratum is popped once, and each
     head of a non-recursive stratum is evaluated once instead: the two sets
     are disjoint, and every other head is a zero of a recursive stratum."""
@@ -205,7 +204,8 @@ def assert_pops_count_nonzero(sol):
     popped = {aid for aid, _ in sol.stats["pops"]}
     assert popped.isdisjoint(one_pass)
     zero = sol.semiring.zero
-    recursive_nonzero = {a for a, v in sol.atom_values.items() if v != zero} - one_pass
+    variables = [a for a, kind in enumerate(g.kinds) if kind == KIND_VAR]
+    recursive_nonzero = {a for a in variables if sol.values[a] != zero} - one_pass
     assert sol.stats["popped"] == len(recursive_nonzero)
     assert popped == recursive_nonzero
 
@@ -216,11 +216,11 @@ def assert_pops_count_nonzero(sol):
 def test_absorptive_hand_grounding(sr, c1, c2):
     g = hand_grounding(sr, c1, c2)
     sol = solve_absorptive(g)
-    assert sol.atom_values == kleene_grounding(g).atom_values
+    assert sol.values == kleene_grounding(g).values
     named = sol.named(g)
     assert named["x_T_x"] != sr.zero and named["x_T_y"] != sr.zero
     assert named["x_T_z"] == named["x_T_u"] == named["x_T_w"] == sr.zero
-    assert_pops_count_nonzero(sol)
+    assert_pops_count_nonzero(g, sol)
 
 
 # A repeated IDB atom gives monomials with a repeated variable; naive
@@ -242,8 +242,8 @@ def test_absorptive_matches_oracles(sr):
             g, _ = ground_program(SQUARE, inst, strategy=strategy)
             sol = solve_absorptive(g)
             assert sol.relation(g, "T") == want, strategy
-            assert sol.atom_values == kleene_grounding(g).atom_values, strategy
-            assert_pops_count_nonzero(sol)
+            assert sol.values == kleene_grounding(g).values, strategy
+            assert_pops_count_nonzero(g, sol)
 
 
 # Two recursive strata, the upper one reading the lower as constants; few
@@ -279,10 +279,10 @@ def test_strata_match_the_one_stratum_solve_and_the_oracles(sr):
             flat.depends = {}
             one = solve_absorptive(flat)
             assert one.stats["evaluated"] == 0
-            assert sol.atom_values == one.atom_values == kleene_grounding(g).atom_values
+            assert sol.values == one.values == kleene_grounding(g).values
             for symbol in program.idb_schema:
                 assert sol.relation(g, symbol) == want[symbol], (symbol, strategy)
-            assert_pops_count_nonzero(sol)
+            assert_pops_count_nonzero(g, sol)
             strata = _strata(g.depends)
             stratum_of = {s: i for i, (symbols, _) in enumerate(strata) for s in symbols}
             keys = {}  # the pop keys of each stratum, non-decreasing within it
@@ -293,6 +293,23 @@ def test_strata_match_the_one_stratum_solve_and_the_oracles(sr):
     assert {(0, True), (1, False), (1, True), (2, False), (2, True)} <= reached, reached
 
 
+def test_kleene_and_absorptive_read_only_the_flat_lists(monkeypatch):
+    """Both solvers start from a copy of `g.values` and never build the
+    per-head `equations` view; no solution shares the grounding's list."""
+    edges = {("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "a"): 3.0}
+    g, _ = ground_program(TC, semlog.build_instance({"R": edges}, tropical()))
+    initial = list(g.values)
+
+    def refuse(self):
+        raise AssertionError("Grounding.equations was read")
+
+    monkeypatch.setattr(Grounding, "equations", property(refuse))
+    for method in ("kleene", "absorptive"):
+        sol = solve_grounding(g, method=method)
+        assert sol.values is not g.values and g.values == initial, method
+        assert sol.relation(g, "T")[("a", "c")] == 3.0, method
+
+
 def test_kleene_and_absorptive_agree_without_finalize():
     """T(a) = E(a) + T(b)*E(a), built by hand with no equation for T(b): both
     solvers start every variable atom at zero."""
@@ -301,8 +318,8 @@ def test_kleene_and_absorptive_agree_without_finalize():
     e = g.intern_coeff("E", ("a",), 1.0)
     g.add_monomial(a, [e])
     g.add_monomial(a, [b, e])
-    want = {a: 1.0, b: math.inf}
-    assert kleene_grounding(g).atom_values == solve_absorptive(g).atom_values == want
+    want = [1.0, math.inf, 1.0]  # T(a), T(b), E(a)
+    assert kleene_grounding(g).values == solve_absorptive(g).values == want
 
 
 @pytest.mark.parametrize("sr", [c[0] for c in ABSORPTIVE_COEFFS], ids=lambda sr: sr.name)
@@ -313,7 +330,7 @@ def test_star_evaluates_every_head_once(sr):
     sol = solve_absorptive(g)
     assert sol.stats["popped"] == sol.stats["stale_skips"] == 0
     assert sorted(sol.stats["one_pass"]) == sorted(g.equations)
-    assert sol.atom_values == kleene_grounding(g).atom_values
+    assert sol.values == kleene_grounding(g).values
 
 
 def test_rank_visit_bound():
@@ -397,7 +414,7 @@ def test_rank_hand_grounding(sr, c1, c2):
     sol = solve_grounding(g, method="rank")
     assert sol.stats["init_ops"] == len(seeded)
     assert sol.stats["max_equation_visits"] <= 2 * sr.finite_rank
-    assert sol.atom_values == kleene_grounding(g.finalize()).atom_values
+    assert sol.values == kleene_grounding(g.finalize()).values
     named = sol.named(g)
     assert named["x_T_x"] == c1 and named["x_T_p"] == c1
     assert named["x_T_y"] != sr.zero
@@ -452,7 +469,7 @@ def test_auto_takes_the_counter_solver(name, sr):
             g, _ = ground_program(program, inst, strategy=strategy)
             sol = solve_grounding(g)
             assert sol.method == "absorptive"
-            assert sol.atom_values == solve_grounding(g, method="rank").atom_values
-            assert_pops_count_nonzero(sol)
+            assert sol.values == solve_grounding(g, method="rank").values
+            assert_pops_count_nonzero(g, sol)
             if sr.name == "boolean":
                 assert sol.stats["stale_skips"] == 0
