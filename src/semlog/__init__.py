@@ -28,7 +28,6 @@ from .grounding import (
     CyclicRuleError,
     Grounding,
     StrategyNotApplicable,
-    ground_naive,
     ground_program,
 )
 from .solver import (

@@ -15,7 +15,6 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import CORPUS_ALL, corpus_text
@@ -60,20 +59,6 @@ EXIT_CODE_HELP = (
 )
 
 
-@dataclass
-class RunConfig:
-    """The flags of `run`; other subcommands set the subset they accept."""
-
-    program: str
-    facts: Optional[str] = None
-    semiring: str = "boolean"
-    strategy: str = "auto"
-    solver: str = "auto"
-    max_iters: Optional[int] = None
-    output: str = "tsv"
-    cap_size: Optional[int] = None
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
@@ -88,13 +73,13 @@ def _load_program_text(token: str) -> str:
     return _read_text(token)
 
 
-def _load_inputs(cfg: RunConfig):
-    program = parse_program(_load_program_text(cfg.program))
-    sr = semiring_from_token(cfg.semiring)
-    if cfg.facts is None:
+def _load_inputs(args: argparse.Namespace):
+    program = parse_program(_load_program_text(args.program))
+    sr = semiring_from_token(args.semiring)
+    if args.facts is None:
         instance = build_instance({}, sr)
     else:
-        instance = parse_facts(_read_text(cfg.facts), sr)
+        instance = parse_facts(_read_text(args.facts), sr)
     check_instance_against(program, instance)
     return program, instance
 
@@ -122,13 +107,13 @@ def _stats_lines(stats: dict) -> list[str]:
     return out
 
 
-def cmd_run(cfg: RunConfig) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    program, instance = _load_inputs(cfg)
+    program, instance = _load_inputs(args)
     g, report = ground_program(
-        program, instance, strategy=cfg.strategy, cap=cfg.cap_size
+        program, instance, strategy=args.strategy, cap=args.cap_size
     )
-    sol = solve_grounding(g, method=cfg.solver, max_iters=cfg.max_iters)
+    sol = solve_grounding(g, method=args.solver, max_iters=args.max_iters)
     rel = sol.relation(g, program.target)
     stats = {
         "m": instance.m,
@@ -146,7 +131,7 @@ def cmd_run(cfg: RunConfig) -> int:
         },
         "wall_time": time.perf_counter() - t0,
     }
-    if cfg.output == "structured":
+    if args.output == "structured":
         doc = {
             "target": program.target,
             "relation": {
@@ -164,35 +149,38 @@ def cmd_run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_ground(cfg: RunConfig, explain: bool) -> int:
-    program, instance = _load_inputs(cfg)
+def cmd_ground(args: argparse.Namespace) -> int:
+    program, instance = _load_inputs(args)
     g, report = ground_program(
-        program, instance, strategy=cfg.strategy, cap=cfg.cap_size
+        program, instance, strategy=args.strategy, cap=args.cap_size
     )
-    if explain:
+    # Under `structured` stdout holds one JSON document, so the explanation
+    # goes to stderr, as `run`'s stats do.
+    out = sys.stderr if args.output == "structured" else sys.stdout
+    if args.explain:
         for rule in program.rules:
             for bi, body in enumerate(rule.bodies):
                 tree = gyo_join_tree(build_hypergraph(body))
-                print(f"% rule {rule.head_pred} body {bi}:")
+                print(f"% rule {rule.head_pred} body {bi}:", file=out)
                 if isinstance(tree, CyclicVerdict):
-                    print("%   cyclic; residue edges:", [e.id for e in tree.residue])
+                    print("%   cyclic; residue edges:", [e.id for e in tree.residue], file=out)
                 else:
                     chosen = next(
                         b for b in report if b.rule == rule.head_pred and b.body == bi
                     )
-                    print(f"%   strategy {chosen.strategy}")
+                    print(f"%   strategy {chosen.strategy}", file=out)
                     if chosen.root is not None:
                         for line in dump_tree(tree, chosen.root).splitlines():
-                            print(f"%   {line}")
-    if cfg.output == "structured":
+                            print(f"%   {line}", file=out)
+    if args.output == "structured":
         print(json.dumps(g.to_record(), indent=2, sort_keys=True))
     else:
         sys.stdout.write(g.to_text())
     return EXIT_OK
 
 
-def cmd_check(cfg: RunConfig, max_n: int = 12) -> int:
-    program, instance = _load_inputs(cfg)
+def cmd_check(args: argparse.Namespace, max_n: int = 12) -> int:
+    program, instance = _load_inputs(args)
     if instance.n > max_n:
         print(
             f"check requires n <= {max_n} (got {instance.n}): "
@@ -211,7 +199,7 @@ def cmd_check(cfg: RunConfig, max_n: int = 12) -> int:
             rows.append((strategy, "-", "cyclic"))
             continue
         for method in applicable_methods(instance.semiring):
-            sol = solve_grounding(g, method=method, max_iters=cfg.max_iters)
+            sol = solve_grounding(g, method=method, max_iters=args.max_iters)
             rel = sol.relation(g, program.target)
             agree = rel == oracle
             rows.append((strategy, method, "agree" if agree else "DISAGREE"))
@@ -229,8 +217,8 @@ def cmd_check(cfg: RunConfig, max_n: int = 12) -> int:
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    program = parse_program(_load_program_text(cfg.program))
+def cmd_classify(args: argparse.Namespace) -> int:
+    program = parse_program(_load_program_text(args.program))
     for key, value in classify(program).as_dict().items():
         print(f"{key}\t{str(value).lower()}")
     return EXIT_OK
@@ -282,7 +270,7 @@ def build_bench_instance(program, family: str, size: int, semiring, rng, nodes=N
         k = max(2, int(math.isqrt(size // 2)) + 1)
         make = lambda: gen_grid(k, rng)
     elif family == "random-graph":
-        n = nodes if nodes else max(4, 2 * int(math.isqrt(size)))
+        n = nodes if nodes is not None else max(4, 2 * int(math.isqrt(size)))
         make = lambda: gen_random_graph(n, size, rng)
     else:
         raise UserInputError(f"unknown bench family {family!r}")
@@ -328,20 +316,22 @@ def loglog_slope(xs: list[float], ys: list[float]) -> float:
     return statistics.linear_regression(lx, ly).slope
 
 
-def cmd_bench(
-    cfg: RunConfig, seed: int, family: str, sizes: list[int], nodes: Optional[int]
-) -> int:
-    program = parse_program(_load_program_text(cfg.program))
-    sr = semiring_from_token(cfg.semiring)
+def cmd_bench(args: argparse.Namespace) -> int:
+    sizes = parse_sizes(args.sizes)
+    if args.nodes is not None and args.nodes < 1:
+        raise UserInputError(f"--nodes wants a positive integer, got {args.nodes}")
+    program = parse_program(_load_program_text(args.program))
+    sr = semiring_from_token(args.semiring)
+    family = args.family
     print("index,family,size,m,n,grounding_size,canonical_size,solver,wall_time,status")
     rows = []
     for idx, size in enumerate(sizes):
-        rng = random.Random(f"{seed}:{family}:{size}")
-        instance = build_bench_instance(program, family, size, sr, rng, nodes)
+        rng = random.Random(f"{args.seed}:{family}:{size}")
+        instance = build_bench_instance(program, family, size, sr, rng, args.nodes)
         t0 = time.perf_counter()
         try:
-            g, _ = ground_program(program, instance, strategy=cfg.strategy, cap=cfg.cap_size)
-            sol = solve_grounding(g, method=cfg.solver, max_iters=cfg.max_iters)
+            g, _ = ground_program(program, instance, strategy=args.strategy, cap=args.cap_size)
+            sol = solve_grounding(g, method=args.solver, max_iters=args.max_iters)
         except CapExceeded:
             print(f"{idx},{family},{size},{instance.m},{instance.n},,,,"
                   f"{time.perf_counter() - t0:.4f},cap-exceeded")
@@ -388,50 +378,33 @@ FLAGS = {
     "nodes": dict(type=int, default=None, help="fix the node count for random-graph"),
 }
 
-# Each subcommand accepts exactly the flags it reads.
-COMMAND_FLAGS = {
-    "run": ("program", "facts", "semiring", "strategy", "solver", "max-iters",
-            "output", "cap-size"),
-    "ground": ("program", "facts", "semiring", "strategy", "cap-size", "output",
-               "explain"),
-    "check": ("program", "facts", "semiring", "max-iters"),
-    "classify": ("program",),
-    "bench": ("program", "semiring", "strategy", "solver", "max-iters", "cap-size",
-              "seed", "family", "sizes", "nodes"),
+# Each subcommand: its function, and exactly the flags it reads.
+COMMANDS = {
+    "run": (cmd_run, ("program", "facts", "semiring", "strategy", "solver",
+                      "max-iters", "output", "cap-size")),
+    "ground": (cmd_ground, ("program", "facts", "semiring", "strategy", "cap-size",
+                            "output", "explain")),
+    "check": (cmd_check, ("program", "facts", "semiring", "max-iters")),
+    "classify": (cmd_classify, ("program",)),
+    "bench": (cmd_bench, ("program", "semiring", "strategy", "solver", "max-iters",
+                          "cap-size", "seed", "family", "sizes", "nodes")),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="semlog", epilog=EXIT_CODE_HELP)
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, flags in COMMAND_FLAGS.items():
+    for command, (_, flags) in COMMANDS.items():
         p = sub.add_parser(command, epilog=EXIT_CODE_HELP)
         for flag in flags:
             p.add_argument(f"--{flag}", **FLAGS[flag])
     return ap
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    names = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in vars(args).items() if k in names})
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from(args)
     try:
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "ground":
-            return cmd_ground(cfg, args.explain)
-        if args.command == "check":
-            return cmd_check(cfg)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "bench":
-            sizes = parse_sizes(args.sizes)
-            return cmd_bench(cfg, args.seed, args.family, sizes, args.nodes)
-        raise AssertionError(args.command)
+        return COMMANDS[args.command][0](args)
     except (UserInputError, FrontendError, OSError, CyclicRuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

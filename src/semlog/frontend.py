@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .semirings import Semiring, SemiringTypeError
 
@@ -108,13 +108,7 @@ class Classification:
     rulewise_free_connex: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "monadic": self.monadic,
-            "linear": self.linear,
-            "chain": self.chain,
-            "rulewise_acyclic": self.rulewise_acyclic,
-            "rulewise_free_connex": self.rulewise_free_connex,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -160,32 +160,26 @@ class Grounding:
 
     # -- output ------------------------------------------------------------
 
-    def to_text(self) -> str:
-        lines = []
+    def _named_equations(self):
+        """Each equation as (head name, the atom names of each monomial),
+        sorted by head name: the one order both output forms print."""
         equations = self.equations
         for head in sorted(equations, key=self.atom_name):
-            monos = equations[head]
-            if monos:
-                rhs = " + ".join(
-                    " * ".join(self.atom_name(a) for a in mono) for mono in monos
-                )
-            else:
-                rhs = "0"
-            lines.append(f"{self.atom_name(head)} = {rhs} ;")
+            names = [[self.atom_name(a) for a in mono] for mono in equations[head]]
+            yield self.atom_name(head), names
+
+    def to_text(self) -> str:
+        lines = [
+            f"{head} = {' + '.join(map(' * '.join, monos)) if monos else '0'} ;"
+            for head, monos in self._named_equations()
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_record(self) -> dict:
         return {
             "semiring": self.semiring.name,
             "size": self.size,
-            "equations": {
-                self.atom_name(head): [
-                    [self.atom_name(a) for a in mono] for mono in monos
-                ]
-                for head, monos in sorted(
-                    self.equations.items(), key=lambda kv: self.atom_name(kv[0])
-                )
-            },
+            "equations": dict(self._named_equations()),
         }
 
 
@@ -296,23 +290,6 @@ def _ground_body_naive(
 ) -> None:
     head = Atom(rule.head_pred, body.head_vars, True)
     _ground_rule(g, head, body.atoms, instance.active_domain, instance.relations)
-
-
-def ground_naive(
-    program: Program, instance: Instance, cap: Optional[int] = None
-) -> Grounding:
-    """Replace variables by all active-domain constants, dropping monomials
-    annihilated by absent EDB facts; every IDB ground instance gets an
-    equation even when its RHS is empty."""
-    g = Grounding(instance.semiring, cap=cap)
-    domain = instance.active_domain
-    for sym, arity in program.idb_schema.items():
-        for t in itertools.product(domain, repeat=arity):
-            g.ensure_equation(g.intern_var(sym, t))
-    for rule in program.rules:
-        for body in rule.bodies:
-            _ground_body_naive(rule, body, instance, g)
-    return g.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -500,32 +477,31 @@ def ground_program(
     strategy: str = "auto",
     cap: Optional[int] = None,
 ) -> tuple[Grounding, list[BodyStrategy]]:
-    """Ground every rule body, picking a per-body strategy and reporting it."""
+    """Ground every rule body, picking a per-body strategy and reporting it.
+
+    Under `naive` every IDB ground instance over the active domain gets an
+    equation, even when its RHS is empty, and every body is grounded by
+    `_ground_body_naive`: its variables range over the active domain, and
+    monomials annihilated by absent EDB facts are dropped.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    report: list[BodyStrategy] = []
-    if strategy == "naive":
-        g = ground_naive(program, instance, cap=cap)
-        report = [
-            BodyStrategy(rule.head_pred, bi, "naive")
-            for rule in program.rules
-            for bi in range(len(rule.bodies))
-        ]
-        return g, report
-
     g = Grounding(instance.semiring, cap=cap)
+    if strategy == "naive":
+        for sym, arity in program.idb_schema.items():
+            for t in itertools.product(instance.active_domain, repeat=arity):
+                g.ensure_equation(g.intern_var(sym, t))
+    report: list[BodyStrategy] = []
     for ri, rule in enumerate(program.rules):
         for bi, body in enumerate(rule.bodies):
-            tag = f"{ri}b{bi}"
-            tree = gyo_join_tree(build_hypergraph(body))
-            if isinstance(tree, CyclicVerdict):
-                if strategy == "acyclic":
-                    raise CyclicRuleError(
-                        f"rule {rule.head_pred} body {bi} is cyclic"
-                    )
+            tree = None if strategy == "naive" else gyo_join_tree(build_hypergraph(body))
+            if isinstance(tree, CyclicVerdict) and strategy == "acyclic":
+                raise CyclicRuleError(f"rule {rule.head_pred} body {bi} is cyclic")
+            if not isinstance(tree, JoinTree):  # naive, or a cyclic body
                 _ground_body_naive(rule, body, instance, g)
                 report.append(BodyStrategy(rule.head_pred, bi, "naive"))
                 continue
+            tag = f"{ri}b{bi}"
             fc = free_connex_root(tree, body.head_set)
             if fc is not None:
                 ground_acyclic_rule(body, tree, fc, instance, g, rule.head_pred, tag)

@@ -9,7 +9,7 @@ import semlog
 from semlog import cli
 from semlog.cli import build_bench_instance, main
 from semlog.frontend import parse_facts
-from semlog.semirings import UserInputError, boolean
+from semlog.semirings import UserInputError, boolean, naturals
 
 TC = "T(x1, x2) :- R(x1, x2).\nT(x1, x2) :- T(x1, x3), R(x3, x2).\n@target T.\n"
 
@@ -162,6 +162,24 @@ def test_ground_explain_shows_the_grounded_root(tc_files, capsys):
                           "% rule T body 1:\n%   strategy naive\nx_T_")
 
 
+def test_ground_explain_goes_to_stderr_under_structured(tmp_path, capsys):
+    """A cyclic body's explanation names its GYO residue; under `structured`
+    the explanation moves to stderr and stdout is one JSON document."""
+    prog = tmp_path / "cyclic.dl"
+    prog.write_text("T(x) :- R(x, y), R(y, z), R(z, x).\nT(x) :- R(x, x).\n@target T.\n")
+    facts = tmp_path / "facts.txt"
+    facts.write_text("R(a,b).\nR(b,c).\nR(c,a).\n")
+    args = ["ground", "--program", str(prog), "--facts", str(facts), "--explain"]
+    assert main(args) == 0
+    out, _ = capsys.readouterr()
+    explained = [line for line in out.splitlines() if line.startswith("%")]
+    assert explained[:2] == ["% rule T body 0:", "%   cyclic; residue edges: [0, 1, 2]"]
+    assert main(args + ["--output", "structured"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["equations"]["x_T_a"]
+    assert err.splitlines() == explained
+
+
 def test_check_agrees(tc_files, capsys):
     prog, facts = tc_files
     rc = main(["check", "--program", prog, "--facts", facts,
@@ -285,7 +303,10 @@ def test_missing_file_exits_2(capsys):
     ["bench", "--program", "corpus:eq2_tc", "--sizes", "8,x"],
     ["bench", "--program", "corpus:eq2_tc", "--sizes", "0"],
     ["bench", "--program", "corpus:eq1_pcomplete", "--sizes", "8"],
-], ids=["corpus", "semiring", "empty-set", "sizes", "zero-size", "bench-arity"])
+    ["bench", "--program", "corpus:eq2_tc", "--family", "random-graph", "--nodes", "-3"],
+    ["bench", "--program", "corpus:eq2_tc", "--family", "random-graph", "--nodes", "0"],
+], ids=["corpus", "semiring", "empty-set", "sizes", "zero-size", "bench-arity",
+        "negative-nodes", "zero-nodes"])
 def test_user_errors_exit_2(args, capsys):
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -319,6 +340,23 @@ def test_unknown_bench_family_is_a_user_error():
     with pytest.raises(UserInputError):
         build_bench_instance(semlog.corpus_program("eq2_tc"), "tree", 8, boolean(),
                              random.Random(0))
+
+
+def test_bench_instance_over_the_naturals_annotates_each_fact_once():
+    sr = naturals()
+    inst = build_bench_instance(semlog.corpus_program("ex31_node_weights"), "path", 8, sr,
+                                random.Random(0))
+    assert len(inst.relations["R"]) == 8 and len(inst.relations["U"]) == 9
+    assert {v for rel in inst.relations.values() for v in rel.values()} == {1}
+
+
+def test_bench_row_of_a_capped_size_reads_cap_exceeded(capsys):
+    rc = main(["bench", "--program", "corpus:eq2_tc", "--sizes", "4,32", "--cap-size", "100"])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok", "cap-exceeded"]
+    assert rows[1][:8] == ["1", "path", "32", "32", "33", "", "", ""]
 
 
 def test_internal_error_is_not_a_user_error(tc_files, monkeypatch):

@@ -160,13 +160,18 @@ FACT_ERRORS = [
     # The good literal `2` is read three times before the bad one.
     (PREAMBLE + "R(b, c) = 2.\nR(c, d) = 2 .\nR(d, e) = 2x.\n", "line 8: could not convert"),
     (PREAMBLE + "R(b, c) = frog.\nR(c, d) = frog.\n", "line 6: could not convert"),
+    # A row may name its semiring; the others read tropical.
+    ("R(a,b) = yes.\n", "line 1: bad boolean literal 'yes'", boolean()),
+    ("R(a,b) = -1.\n", "line 1: bad natural literal '-1'", naturals()),
+    ("R(a,b) = a.\n", "line 1: bad set literal 'a'", set_semiring("ab")),
+    ("R(a,b) = {c}.\n", "line 1: set literal '{c}' outside universe", set_semiring("ab")),
 ]
 
 
 def test_parse_facts_errors():
-    for text, pattern in FACT_ERRORS:
+    for text, pattern, *sr in FACT_ERRORS:
         with pytest.raises(ValidationError, match=re.escape(pattern)):
-            parse_facts(text, tropical())
+            parse_facts(text, sr[0] if sr else tropical())
 
 
 def test_parse_facts_comments_and_quotes():

@@ -17,7 +17,6 @@ from semlog.grounding import (
     CyclicRuleError,
     Grounding,
     StrategyNotApplicable,
-    ground_naive,
     ground_program,
     prune_unreachable,
 )
@@ -35,7 +34,7 @@ def tc_instance(sr=None):
 
 
 def test_naive_tc_equations():
-    g = ground_naive(TC, tc_instance())
+    g = ground_program(TC, tc_instance(), strategy="naive")[0]
     rec = g.to_record()["equations"]
     assert rec == {
         "x_T_a_a": [],
@@ -49,13 +48,13 @@ def test_naive_tc_equations():
 
 def test_naive_empty_instance():
     inst = semlog.build_instance({}, boolean())
-    g = ground_naive(TC, inst)
+    g = ground_program(TC, inst, strategy="naive")[0]
     assert g.size == 0 and g.equations == {}
 
 
 def test_cap_exceeded():
     with pytest.raises(CapExceeded) as exc:
-        ground_naive(TC, tc_instance(), cap=3)
+        ground_program(TC, tc_instance(), strategy="naive", cap=3)
     assert exc.value.size > exc.value.cap == 3
 
 
@@ -86,7 +85,7 @@ def test_grounding_is_deterministic():
 def test_single_atom_body():
     program = parse_program("T(x) :- R(x).\n@target T.")
     inst = semlog.build_instance({"R": {("a",): True, ("c",): True}}, boolean())
-    g = ground_naive(program, inst)
+    g = ground_program(program, inst, strategy="naive")[0]
     rec = g.to_record()["equations"]
     assert rec == {"x_T_a": [["e_R_a"]], "x_T_c": [["e_R_c"]]}
 
@@ -96,7 +95,7 @@ def test_repeated_variable_atom_filters_diagonal():
     inst = semlog.build_instance(
         {"R": {("a", "a"): True, ("a", "b"): True}}, boolean()
     )
-    g = ground_naive(program, inst)
+    g = ground_program(program, inst, strategy="naive")[0]
     rec = g.to_record()["equations"]
     assert rec["x_T_a"] == [["e_R_a_a"]]
     assert rec["x_T_b"] == []
@@ -573,10 +572,10 @@ def test_triangle_grounds_through_indexed_rows():
 
 
 # Generated programs.  A predicate's name fixes its arity, so every draw is
-# consistent: EDBs of arity <= 3 (N is nullary), IDBs of arity <= 2 (the
-# linear-arity2 construction applies), variables drawn from a pool of four
-# so they repeat.
-FUZZ_ARITY = {"A": 1, "E": 2, "F": 2, "N": 0, "R": 3, "S": 1, "T": 2}
+# consistent: EDBs of arity <= 3 (N is nullary), IDBs S, T and U of arity <= 2
+# (the linear-arity2 construction applies), variables drawn from a pool of
+# four so they repeat.
+FUZZ_ARITY = {"A": 1, "E": 2, "F": 2, "N": 0, "R": 3, "S": 1, "T": 2, "U": 2}
 FUZZ_EDB = ("A", "E", "F", "N", "R")
 FUZZ_SEMIRINGS = (boolean(), tropical(), access(), set_semiring("abc"))
 
@@ -632,18 +631,31 @@ def _fuzz_rule(head, body, rng, pool=None):
     return head, f"{head}({', '.join(hargs)}) :- {atoms}."
 
 
+def _fuzz_reading(rng, head, reads):
+    """A rule for `head` over 1-2 EDB atoms and one atom of each of `reads`."""
+    body = _fuzz_body(rng, FUZZ_EDB, rng.randint(1, 2))
+    body += [(p, "".join(rng.choice("xyzw") for _ in range(FUZZ_ARITY[p]))) for p in reads]
+    return _fuzz_rule(head, body, rng)[1]
+
+
 def random_program(rng):
     """A base rule for the target over EDBs, then 1-3 rules over everything;
-    a quarter of those put T inside a path between two head variables."""
+    a quarter of those put T inside a path between two head variables.  A
+    fifth of the programs add rules where T and U read each other and S
+    reads itself and one of them: a recursive stratum of two symbols below
+    another recursive stratum."""
     base = _fuzz_body(rng, FUZZ_EDB, rng.randint(1, 2))
     target, line = _fuzz_rule("T" if rng.random() < 0.7 else "S", base, rng)
     lines = [line]
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.25:
-            lines.append(_fuzz_rule(rng.choice("ST"), _fuzz_trapped_body(rng), rng, "xy")[1])
+            lines.append(_fuzz_rule(rng.choice("STU"), _fuzz_trapped_body(rng), rng, "xy")[1])
         else:
             body = _fuzz_body(rng, tuple(FUZZ_ARITY), rng.randint(1, 4))
-            lines.append(_fuzz_rule(rng.choice("ST"), body, rng)[1])
+            lines.append(_fuzz_rule(rng.choice("STU"), body, rng)[1])
+    if rng.random() < 0.2:
+        lines += [_fuzz_reading(rng, "T", "U"), _fuzz_reading(rng, "U", "T"),
+                  _fuzz_reading(rng, "S", ("S", rng.choice("TU")))]
     return parse_program("\n".join(lines) + f"\n@target {target}.\n")
 
 

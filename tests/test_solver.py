@@ -6,7 +6,7 @@ import pytest
 
 import semlog
 from semlog.grounding import (
-    KIND_COEFF, KIND_VAR, CyclicRuleError, Grounding, ground_naive, ground_program
+    KIND_COEFF, KIND_VAR, CyclicRuleError, Grounding, ground_program
 )
 from semlog.semirings import access, boolean, naturals, set_semiring, tropical
 from semlog.solver import (
@@ -34,7 +34,7 @@ TC = semlog.corpus_program("eq2_tc")
 
 def tc_grounding(sr, edges):
     inst = semlog.build_instance({"R": edges}, sr)
-    return ground_naive(TC, inst)
+    return ground_program(TC, inst, strategy="naive")[0]
 
 
 def test_to_two_canonical_shapes():
@@ -113,9 +113,9 @@ def test_capability_errors():
         solve_rank(trop)
     nat_inst = semlog.build_instance({"R": {("a", "b"): 2}}, naturals())
     with pytest.raises(SolverCapabilityError):
-        solve_absorptive(ground_naive(TC, nat_inst))
+        solve_absorptive(ground_program(TC, nat_inst, strategy="naive")[0])
     with pytest.raises(SolverCapabilityError):
-        solve_grounding(ground_naive(TC, nat_inst), method="absorptive")
+        solve_grounding(ground_program(TC, nat_inst, strategy="naive")[0], method="absorptive")
 
 
 def test_method_dispatch():
@@ -132,7 +132,7 @@ def test_method_dispatch():
 
 def test_all_zero_system():
     inst = semlog.build_instance({"S": {("a", "b"): True}}, boolean())
-    g = ground_naive(TC, inst)  # R is empty, so T never fires
+    g = ground_program(TC, inst, strategy="naive")[0]  # R is empty, so T never fires
     for method in ("rank", "kleene"):
         sol = solve_grounding(g, method=method)
         assert sol.relation(g, "T") == {}
@@ -146,6 +146,12 @@ def test_kleene_nonconvergence():
     g.add_monomial(x, [x, one])  # x = 1 + x, diverges over the naturals
     with pytest.raises(NonConvergence):
         kleene_grounding(g.finalize(), max_iters=50)
+
+
+def test_kleene_program_nonconvergence():
+    inst = semlog.build_instance({"R": {("a", "a"): 2}}, naturals())
+    with pytest.raises(NonConvergence):
+        kleene_program(TC, inst)  # T(a, a) doubles on every round
 
 
 def test_solvers_agree_across_semirings():
@@ -290,7 +296,23 @@ def test_strata_match_the_one_stratum_solve_and_the_oracles(sr):
                 keys.setdefault(stratum_of.get(g.symbols[aid]), []).append(sr.key_fn(value))
             assert all(k == sorted(k) for k in keys.values())
             reached.add((sum(rec for _, rec in strata), sol.stats["evaluated"] > 0))
+            recursive = [set(symbols) for symbols, rec in strata if rec]
+            if any(len(low & program.idb_schema.keys()) >= 2 and low <= _reads(g.depends, high)
+                   for low in recursive for high in recursive if high is not low):
+                reached.add("two IDBs in a recursive stratum read by another")
     assert {(0, True), (1, False), (1, True), (2, False), (2, True)} <= reached, reached
+    assert "two IDBs in a recursive stratum read by another" in reached, reached
+
+
+def _reads(depends, symbols):
+    """The symbols that `symbols` read through `depends`, transitively."""
+    seen, stack = set(), list(symbols)
+    while stack:
+        for t in depends.get(stack.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 def test_kleene_and_absorptive_read_only_the_flat_lists(monkeypatch):
